@@ -56,24 +56,36 @@ func (b *BitArray) ZeroFraction() float64 { return float64(b.zeros) / float64(b.
 
 // Get reports whether bit i is set. It panics if i is out of range.
 func (b *BitArray) Get(i int) bool {
-	if i < 0 || i >= b.size {
-		panic(fmt.Sprintf("bitarray: index %d out of range [0,%d)", i, b.size))
+	if uint(i) >= uint(b.size) {
+		panic(indexError{i, b.size})
 	}
 	return b.words[i>>6]&(1<<uint(i&63)) != 0
+}
+
+// indexError is the panic value of an out-of-range index in Get, Set and
+// Clear. The message is formatted only when the panic is printed or its
+// Error method called, never on the accessors' own path: a formatting call
+// there would cost more than the compiler's inlining budget, and the
+// accessors must inline into the sketch kernels.
+type indexError struct{ i, size int }
+
+//go:noinline
+func (e indexError) Error() string {
+	return fmt.Sprintf("bitarray: index %d out of range [0,%d)", e.i, e.size)
 }
 
 // Set sets bit i to one and reports whether the bit changed (was zero).
 // It panics if i is out of range.
 func (b *BitArray) Set(i int) bool {
-	if i < 0 || i >= b.size {
-		panic(fmt.Sprintf("bitarray: index %d out of range [0,%d)", i, b.size))
+	if uint(i) >= uint(b.size) {
+		panic(indexError{i, b.size})
 	}
-	w, mask := i>>6, uint64(1)<<uint(i&63)
-	if b.words[w]&mask != 0 {
+	mask := uint64(1) << (i & 63)
+	if b.words[i>>6]&mask != 0 {
 		return false
 	}
 	b.detach()
-	b.words[w] |= mask
+	b.words[i>>6] |= mask
 	b.zeros--
 	return true
 }
@@ -81,8 +93,8 @@ func (b *BitArray) Set(i int) bool {
 // Clear sets bit i to zero and reports whether the bit changed. It exists for
 // windowed/decaying extensions and tests; the paper's algorithms never clear.
 func (b *BitArray) Clear(i int) bool {
-	if i < 0 || i >= b.size {
-		panic(fmt.Sprintf("bitarray: index %d out of range [0,%d)", i, b.size))
+	if uint(i) >= uint(b.size) {
+		panic(indexError{i, b.size})
 	}
 	w, mask := i>>6, uint64(1)<<uint(i&63)
 	if b.words[w]&mask == 0 {

@@ -1,6 +1,7 @@
 package bitarray
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -82,18 +83,28 @@ func TestClear(t *testing.T) {
 
 func TestOutOfRangePanics(t *testing.T) {
 	b := New(64)
-	for _, f := range []func(){
-		func() { b.Get(-1) }, func() { b.Get(64) },
-		func() { b.Set(-1) }, func() { b.Set(64) },
-		func() { b.Clear(-1) }, func() { b.Clear(64) },
+	for _, c := range []struct {
+		f    func()
+		want string
+	}{
+		{func() { b.Get(-1) }, "bitarray: index -1 out of range [0,64)"},
+		{func() { b.Get(64) }, "bitarray: index 64 out of range [0,64)"},
+		{func() { b.Set(-1) }, "bitarray: index -1 out of range [0,64)"},
+		{func() { b.Set(64) }, "bitarray: index 64 out of range [0,64)"},
+		{func() { b.Clear(-1) }, "bitarray: index -1 out of range [0,64)"},
+		{func() { b.Clear(64) }, "bitarray: index 64 out of range [0,64)"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Fatal("expected panic on out-of-range index")
 				}
+				if got := fmt.Sprint(r); got != c.want {
+					t.Fatalf("panic %q, want %q", got, c.want)
+				}
 			}()
-			f()
+			c.f()
 		}()
 	}
 }

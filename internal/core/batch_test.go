@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/hashing"
+	"repro/internal/usertab"
 )
 
 // burstEdges generates n edges in user bursts (runs of 1..maxRun edges per
@@ -148,5 +150,211 @@ func TestObserveBatchEmptyAndSingle(t *testing.T) {
 	g.Observe(5, 6)
 	if f.Estimate(5) != g.Estimate(5) || f.EdgesProcessed() != g.EdgesProcessed() {
 		t.Fatal("single-edge batch differs from Observe")
+	}
+}
+
+// kernelState is everything ObserveBatch must leave exactly as the per-edge
+// Observe loop does: the shared array, the counters, and the estimate table
+// cell by cell in layout order, its capacity included.
+type kernelState struct {
+	array  string
+	total  float64
+	edges  uint64
+	tabCap int
+	layout []userEstimate
+}
+
+type userEstimate struct {
+	user uint64
+	est  float64
+}
+
+// kernelSketch is the surface the kernel tests drive on both sketches.
+type kernelSketch interface {
+	Observe(user, item uint64) bool
+	ObserveBatch(edges []Edge)
+}
+
+func stateOf(t *testing.T, s kernelSketch) kernelState {
+	t.Helper()
+	var (
+		st  kernelState
+		arr []byte
+		err error
+		est *usertab.Table
+	)
+	switch f := s.(type) {
+	case *FreeBS:
+		arr, err = f.bits.MarshalBinary()
+		st.total, st.edges, est = f.total, f.edges, f.est
+		if aerr := f.bits.Clone().Audit(); aerr != nil {
+			t.Fatal(aerr)
+		}
+	case *FreeRS:
+		arr, err = f.regs.MarshalBinary()
+		st.total, st.edges, est = f.total, f.edges, f.est
+		if aerr := f.regs.Clone().Audit(); aerr != nil {
+			t.Fatal(aerr)
+		}
+	default:
+		t.Fatalf("unexpected sketch %T", s)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.array = string(arr)
+	st.tabCap = est.Cap()
+	est.Range(func(u uint64, e float64) { st.layout = append(st.layout, userEstimate{u, e}) })
+	return st
+}
+
+func assertSameState(t *testing.T, name string, want, got kernelState) {
+	t.Helper()
+	switch {
+	case want.array != got.array:
+		t.Fatalf("%s: shared arrays differ", name)
+	case want.total != got.total:
+		t.Fatalf("%s: total %v, want %v (must be bit-identical)", name, got.total, want.total)
+	case want.edges != got.edges:
+		t.Fatalf("%s: edges %d, want %d", name, got.edges, want.edges)
+	case want.tabCap != got.tabCap:
+		t.Fatalf("%s: table capacity %d, want %d", name, got.tabCap, want.tabCap)
+	case len(want.layout) != len(got.layout):
+		t.Fatalf("%s: %d users, want %d", name, len(got.layout), len(want.layout))
+	}
+	for i := range want.layout {
+		if want.layout[i] != got.layout[i] {
+			t.Fatalf("%s: table cell %d holds %+v, want %+v", name, i, got.layout[i], want.layout[i])
+		}
+	}
+}
+
+// kernelSketches builds identically seeded twins of every sketch variant the
+// batch kernels serve: both sketches with both q orders, plus tiny arrays
+// that the kernel tests drive to saturation.
+func kernelSketches() []struct {
+	name string
+	mk   func() kernelSketch
+} {
+	return []struct {
+		name string
+		mk   func() kernelSketch
+	}{
+		{"FreeBS", func() kernelSketch { return NewFreeBS(1<<12, 9) }},
+		{"FreeBS/postQ", func() kernelSketch { return NewFreeBS(1<<12, 9, WithPostUpdateQ()) }},
+		{"FreeBS/tiny", func() kernelSketch { return NewFreeBS(64, 3) }},
+		{"FreeBS/tiny/postQ", func() kernelSketch { return NewFreeBS(64, 3, WithPostUpdateQ()) }},
+		{"FreeRS", func() kernelSketch { return NewFreeRS(1<<10, 11) }},
+		{"FreeRS/postQ", func() kernelSketch { return NewFreeRS(1<<10, 11, WithPostUpdateQRS()) }},
+		{"FreeRS/tiny", func() kernelSketch { return NewFreeRS(8, 5, WithRegisterWidth(2)) }},
+		{"FreeRS/tiny/postQ", func() kernelSketch {
+			return NewFreeRS(8, 5, WithRegisterWidth(2), WithPostUpdateQRS())
+		}},
+	}
+}
+
+// withUserZero relabels every fifth run's user to 0, the table's sidecar key.
+func withUserZero(edges []Edge) []Edge {
+	out := append([]Edge(nil), edges...)
+	run := 0
+	for i := range out {
+		if i > 0 && edges[i].User != edges[i-1].User {
+			run++
+		}
+		if run%5 == 0 {
+			out[i].User = 0
+		}
+	}
+	return out
+}
+
+// TestObserveBatchKernelBlockEdges feeds the two-pass kernels batches whose
+// sizes sit on either side of the block size, runs longer than a block,
+// user 0, and enough edges to saturate the tiny arrays, as one batch and
+// as a stream of equal batches. State must match the per-edge loop exactly.
+func TestObserveBatchKernelBlockEdges(t *testing.T) {
+	const b = kernelBlock
+	inputs := []struct {
+		name  string
+		edges []Edge
+	}{
+		{"bursty", burstEdges(6000, 300, 24, 5)},
+		{"longruns", burstEdges(6000, 7, 5*b, 6)},
+		{"onerun", burstEdges(3*b+7, 1, 3*b+7, 7)},
+		{"user0", withUserZero(burstEdges(6000, 40, 2*b, 8))},
+	}
+	for _, sk := range kernelSketches() {
+		for _, in := range inputs {
+			seq := sk.mk()
+			for _, e := range in.edges {
+				seq.Observe(e.User, e.Item)
+			}
+			want := stateOf(t, seq)
+			for _, size := range []int{1, b - 1, b, b + 1, 3*b + 7, len(in.edges)} {
+				name := fmt.Sprintf("%s/%s/batch=%d", sk.name, in.name, size)
+				bat := sk.mk()
+				for lo := 0; lo < len(in.edges); lo += size {
+					bat.ObserveBatch(in.edges[lo:min(lo+size, len(in.edges))])
+				}
+				assertSameState(t, name, want, stateOf(t, bat))
+			}
+		}
+	}
+	for _, sk := range kernelSketches() {
+		for _, n := range []int{1, b - 1, b, b + 1, 3*b + 7} {
+			edges := burstEdges(n, 3, 2*b, uint64(n))
+			seq, bat := sk.mk(), sk.mk()
+			for _, e := range edges {
+				seq.Observe(e.User, e.Item)
+			}
+			bat.ObserveBatch(edges)
+			assertSameState(t, fmt.Sprintf("%s/single/n=%d", sk.name, n), stateOf(t, seq), stateOf(t, bat))
+		}
+	}
+}
+
+// TestObserveBatchKernelSaturates: the tiny arrays must really reach
+// saturation under the kernel tests' load, or those cases test nothing
+// about it.
+func TestObserveBatchKernelSaturates(t *testing.T) {
+	bs := NewFreeBS(64, 3)
+	rs := NewFreeRS(8, 5, WithRegisterWidth(2))
+	edges := burstEdges(6000, 300, 24, 5)
+	bs.ObserveBatch(edges)
+	rs.ObserveBatch(edges)
+	if !bs.Saturated() {
+		t.Fatal("tiny FreeBS not saturated")
+	}
+	for i := 0; i < rs.regs.Size(); i++ {
+		if rs.regs.Get(i) != rs.regs.MaxValue() {
+			t.Fatalf("tiny FreeRS register %d = %d, not saturated", i, rs.regs.Get(i))
+		}
+	}
+}
+
+// TestObserveBatchKernelAfterSnapshot: a snapshot taken between batches
+// shares the arrays with the live sketch, so the next batch's pass 1 reads
+// shared words and its pass 2 detaches on the first write. The snapshot
+// must not change, and the live sketch must still match the per-edge loop.
+func TestObserveBatchKernelAfterSnapshot(t *testing.T) {
+	edges := burstEdges(4000, 200, 3*kernelBlock, 9)
+	half := len(edges) / 2
+	for _, sk := range kernelSketches() {
+		seq, bat := sk.mk(), sk.mk()
+		for _, e := range edges {
+			seq.Observe(e.User, e.Item)
+		}
+		bat.ObserveBatch(edges[:half])
+		var snap kernelSketch
+		switch f := bat.(type) {
+		case *FreeBS:
+			snap = f.Snapshot()
+		case *FreeRS:
+			snap = f.Snapshot()
+		}
+		frozen := stateOf(t, snap)
+		bat.ObserveBatch(edges[half:])
+		assertSameState(t, sk.name+"/snapshot", frozen, stateOf(t, snap))
+		assertSameState(t, sk.name+"/live", stateOf(t, seq), stateOf(t, bat))
 	}
 }

@@ -131,16 +131,28 @@ func (a *Array) ChangeProbability() float64 {
 
 // Get returns register i. It panics if i is out of range.
 func (a *Array) Get(i int) uint8 {
-	if i < 0 || i >= a.size {
-		panic(fmt.Sprintf("regarray: index %d out of range [0,%d)", i, a.size))
+	if uint(i) >= uint(a.size) {
+		panic(indexError{i, a.size})
 	}
-	bitPos := i * int(a.width)
-	w, off := bitPos>>6, uint(bitPos&63)
+	bitPos := uint(i) * uint(a.width)
+	w, off := bitPos>>6, bitPos&63
 	v := a.words[w] >> off
 	if off+uint(a.width) > 64 {
 		v |= a.words[w+1] << (64 - off)
 	}
 	return uint8(v) & a.maxVal
+}
+
+// indexError is the panic value of an out-of-range index in Get. The message
+// is formatted only when the panic is printed or its Error method called,
+// never on Get's own path: a formatting call there would cost more than the
+// compiler's inlining budget, and Get must inline into UpdateMax and the
+// sketch kernels.
+type indexError struct{ i, size int }
+
+//go:noinline
+func (e indexError) Error() string {
+	return fmt.Sprintf("regarray: index %d out of range [0,%d)", e.i, e.size)
 }
 
 // set stores v into register i without statistics maintenance.

@@ -1,6 +1,7 @@
 package regarray
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -344,6 +345,21 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		if err := a.UnmarshalBinary(c); err == nil {
 			t.Fatalf("case %d: garbage accepted", i)
 		}
+	}
+}
+
+func TestGetOutOfRangePanics(t *testing.T) {
+	a := New(10, 5)
+	for _, i := range []int{-1, 10} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("regarray: index %d out of range [0,10)", i)
+				if got := fmt.Sprint(recover()); got != want {
+					t.Fatalf("panic %q, want %q", got, want)
+				}
+			}()
+			a.Get(i)
+		}()
 	}
 }
 

@@ -18,7 +18,7 @@
 // behind a CRC, decoded zero-copy into the edge batch), which removes the
 // per-edge decimal parse that dominates text ingest at service rates. The
 // handler decodes the body into an edge batch, partitions it by shard at
-// decode time (stream.Partitioner over Sharded.ShardIndex — one run-aware
+// decode time (stream.Partitioner over Sharded.ShardIndex — one stable
 // counting sort per batch, on the handler goroutine), and enqueues each
 // shard-pure sub-batch on that shard's bounded queue. One executor
 // goroutine per shard drains its queue and absorbs through the

@@ -12,14 +12,18 @@ package stream
 // executor an already-pure sub-batch, and Sharded.ObserveBatch uses the
 // same implementation for the single-call absorb path.
 //
-// The split is a stable counting sort over maximal runs of consecutive
-// same-user edges: one shard-index hash per run (not per edge), one
-// memmove-speed copy per run into the grouped buffer. Real streams are
-// bursty — a user's edges arrive in clumps — so runs amortize most of the
-// routing cost away.
+// The split is a stable counting sort in two passes over the batch. The
+// first records each edge's shard id, hashing once per maximal run of
+// consecutive same-user edges (real streams are bursty: a user's edges
+// arrive in clumps) and counting the edges per shard. The second scatters
+// each edge to its shard's next free position in the grouped buffer. Both
+// passes are straight loops over the batch with no per-run call or record,
+// which suits shuffled traffic, where most runs are a single edge, as well
+// as bursty traffic.
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -36,10 +40,11 @@ type Partitioner struct {
 // NewPartitioner returns a partitioner over shards sub-streams; index must
 // map a user to its shard in [0, shards) and be pure (same user, same
 // shard — determinism of every downstream sub-stream depends on it). It
-// panics if shards <= 0 or index is nil.
+// panics if shards <= 0, shards exceeds the 32-bit range of the per-edge
+// shard ids, or index is nil.
 func NewPartitioner(shards int, index func(user uint64) int) *Partitioner {
-	if shards <= 0 {
-		panic("stream: NewPartitioner requires shards > 0")
+	if shards <= 0 || uint64(shards) > math.MaxUint32 {
+		panic("stream: NewPartitioner requires 0 < shards <= 2^32-1")
 	}
 	if index == nil {
 		panic("stream: NewPartitioner requires an index function")
@@ -53,13 +58,6 @@ func NewPartitioner(shards int, index func(user uint64) int) *Partitioner {
 
 // NumShards returns the fixed shard count.
 func (p *Partitioner) NumShards() int { return p.shards }
-
-// partRun is one maximal run of consecutive same-user edges; the whole run
-// routes to one shard, so the shard hash is computed once per run.
-type partRun struct {
-	run   []Edge
-	shard int
-}
 
 // Partitioned is one batch split into shard-pure sub-batches. Sub-batches
 // are subslices of a single grouped buffer owned by the Partitioned, so
@@ -77,8 +75,8 @@ type Partitioned struct {
 	// offsets[t] is the end of shard t's sub-batch in grouped (shard t
 	// starts where shard t-1 ends; shard 0 at 0).
 	offsets []int
-	runs    []partRun // scratch; cleared on Release (runs alias the source)
-	aliased bool      // grouped aliases the source batch (one-shard identity)
+	ids     []uint32 // scratch: each edge's shard id, in batch order
+	aliased bool     // grouped aliases the source batch (one-shard identity)
 }
 
 // Split partitions edges by shard. The grouping is a stable counting sort:
@@ -94,16 +92,22 @@ func (p *Partitioner) Split(edges []Edge) *Partitioned {
 		b.offsets[0] = n
 		return b
 	}
-	runs := b.runs[:0]
 	offsets := b.offsets
-	for i := range offsets {
-		offsets[i] = 0
+	clear(offsets)
+	if cap(b.ids) < n {
+		b.ids = make([]uint32, n)
 	}
-	ForEachRun(edges, func(u uint64, run []Edge) {
-		t := p.index(u)
-		runs = append(runs, partRun{run: run, shard: t})
-		offsets[t+1] += len(run)
-	})
+	ids := b.ids[:n]
+	for i := 0; i < n; {
+		user := edges[i].User
+		t := p.index(user)
+		j := i
+		for ; j < n && edges[j].User == user; j++ {
+			ids[j] = uint32(t)
+		}
+		offsets[t+1] += j - i
+		i = j
+	}
 	// Prefix sums turn per-shard counts (offsets[t+1]) into start offsets
 	// (offsets[t]); the scatter then advances them to end offsets, which is
 	// exactly the layout Shard reads.
@@ -113,13 +117,13 @@ func (p *Partitioner) Split(edges []Edge) *Partitioned {
 	if cap(b.grouped) < n {
 		b.grouped = make([]Edge, n)
 	}
-	b.grouped = b.grouped[:n]
-	for _, r := range runs {
-		off := offsets[r.shard]
-		copy(b.grouped[off:], r.run)
-		offsets[r.shard] = off + len(r.run)
+	grouped := b.grouped[:n]
+	for i, e := range edges {
+		t := ids[i]
+		grouped[offsets[t]] = e
+		offsets[t]++
 	}
-	b.runs = runs
+	b.grouped = grouped
 	return b
 }
 
@@ -146,11 +150,8 @@ func (b *Partitioned) NumShards() int { return b.p.shards }
 // Release returns the split's buffers to the partitioner's pool. The
 // caller must be done with every sub-batch.
 func (b *Partitioned) Release() {
-	// Zero the run spans before pooling: they alias the source batch, and
-	// stale entries past the next Split's run count would keep that whole
-	// array reachable from the pool. Same for the one-shard alias.
-	clear(b.runs)
-	b.runs = b.runs[:0]
+	// Drop the one-shard alias before pooling: it would keep the source
+	// batch reachable from the pool.
 	if b.aliased {
 		b.aliased = false
 		b.grouped = nil

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -30,39 +31,82 @@ func burstyEdges(n int, users uint64, seed uint64) []Edge {
 	return edges
 }
 
-// TestPartitionerMatchesEdgeByEdgeRouting: the counting-sort split must
-// produce, for every shard, exactly the edges the per-edge router would,
-// in exactly the batch order — that order is what downstream bit-identical
-// determinism rests on.
+// longRunEdges generates n edges in runs of 1..maxRun edges per user, so
+// single runs can span most of a batch.
+func longRunEdges(n int, users uint64, maxRun int, seed uint64) []Edge {
+	edges := make([]Edge, 0, n)
+	state := seed
+	next := func() uint64 { state = state*6364136223846793005 + 1442695040888963407; return state >> 11 }
+	for len(edges) < n {
+		u := next()%users + 1
+		run := int(next()%uint64(maxRun)) + 1
+		for r := 0; r < run && len(edges) < n; r++ {
+			edges = append(edges, Edge{User: u, Item: next()})
+		}
+	}
+	return edges
+}
+
+// checkSplit asserts that b holds, for every shard, exactly the edges the
+// per-edge router would put there, in batch order.
+func checkSplit(t *testing.T, name string, b *Partitioned, edges []Edge, shards int, index func(uint64) int) {
+	t.Helper()
+	want := refSplit(edges, shards, index)
+	if b.NumShards() != shards {
+		t.Fatalf("%s: NumShards %d, want %d", name, b.NumShards(), shards)
+	}
+	if b.Len() != len(edges) {
+		t.Fatalf("%s: Len %d, want %d", name, b.Len(), len(edges))
+	}
+	for s := 0; s < shards; s++ {
+		got := b.Shard(s)
+		if len(got) != len(want[s]) {
+			t.Fatalf("%s shard %d: %d edges, want %d", name, s, len(got), len(want[s]))
+		}
+		for i := range got {
+			if got[i] != want[s][i] {
+				t.Fatalf("%s shard %d edge %d: %v, want %v", name, s, i, got[i], want[s][i])
+			}
+		}
+	}
+}
+
+// TestPartitionerMatchesEdgeByEdgeRouting: the split must produce, for
+// every shard, exactly the edges the per-edge router would, in exactly the
+// batch order — that order is what downstream bit-identical determinism
+// rests on. It covers shard counts past 255 (shard ids are not bytes),
+// shards left empty (a router that skips most shards, and more shards than
+// users), runs longer than a whole batch, and one pooled Partitioned reused
+// after Release for batches that grow and shrink.
 func TestPartitionerMatchesEdgeByEdgeRouting(t *testing.T) {
-	for _, shards := range []int{1, 2, 3, 4, 8, 16} {
-		index := func(u uint64) int { return int(u % uint64(shards)) }
-		p := NewPartitioner(shards, index)
-		for _, n := range []int{0, 1, 7, 1000, 4096} {
-			edges := burstyEdges(n, 97, uint64(n)+3)
-			want := refSplit(edges, shards, index)
-			b := p.Split(edges)
-			if b.NumShards() != shards {
-				t.Fatalf("NumShards %d, want %d", b.NumShards(), shards)
+	for _, shards := range []int{1, 2, 3, 4, 7, 8, 16, 300} {
+		routers := map[string]func(uint64) int{
+			"mod": func(u uint64) int { return int(u % uint64(shards)) },
+			// Only every third shard receives edges.
+			"sparse": func(u uint64) int { return int(u%uint64((shards+2)/3)) * 3 % shards },
+		}
+		for rname, index := range routers {
+			p := NewPartitioner(shards, index)
+			inputs := []struct {
+				name  string
+				edges []Edge
+			}{
+				{"empty", nil},
+				{"one", burstyEdges(1, 97, 1)},
+				{"short", burstyEdges(7, 97, 2)},
+				{"bursty", burstyEdges(4096, 97, 3)},
+				{"fewusers", burstyEdges(1000, 5, 4)},
+				{"manyusers", burstyEdges(3000, 100000, 5)},
+				{"longruns", longRunEdges(5000, 13, 3000, 6)},
+				{"onerun", longRunEdges(2048, 1, 4096, 7)},
+				{"bursty-again", burstyEdges(100, 97, 8)},
 			}
-			if b.Len() != n {
-				t.Fatalf("shards=%d n=%d: Len %d", shards, n, b.Len())
+			for _, in := range inputs {
+				name := fmt.Sprintf("shards=%d/%s/%s", shards, rname, in.name)
+				b := p.Split(in.edges)
+				checkSplit(t, name, b, in.edges, shards, index)
+				b.Release()
 			}
-			for s := 0; s < shards; s++ {
-				got := b.Shard(s)
-				if len(got) != len(want[s]) {
-					t.Fatalf("shards=%d n=%d shard %d: %d edges, want %d", shards, n, s, len(got), len(want[s]))
-				}
-				for i := range got {
-					if got[i] != want[s][i] {
-						t.Fatalf("shards=%d n=%d shard %d edge %d: %v, want %v", shards, n, s, i, got[i], want[s][i])
-					}
-					if index(got[i].User) != s {
-						t.Fatalf("shard %d holds edge of shard %d", s, index(got[i].User))
-					}
-				}
-			}
-			b.Release()
 		}
 	}
 }

@@ -37,7 +37,7 @@ type Sharded struct {
 	shards []shard
 	seed   uint64
 	name   string
-	// part is the run-aware counting-sort partitioner ObserveBatch splits
+	// part is the stable counting-sort partitioner ObserveBatch splits
 	// batches with — the same stream.Partitioner pre-partitioning pipelines
 	// (the server's shard executors, a cluster router) build over
 	// ShardIndex, so there is exactly one grouping implementation and any
@@ -137,12 +137,11 @@ func (s *Sharded) Observe(user, item uint64) {
 }
 
 // ObserveBatch implements Estimator; safe for concurrent use. The batch is
-// grouped by shard with a stable counting sort over runs of consecutive
-// same-user edges — a run routes to one shard, so the shard hash is computed
-// once per run and edges move with memmove-speed copies — and every touched
-// shard's mutex is taken once per batch instead of once per edge, so the
-// lock cost and the inner estimator's per-run hoisting amortize over the
-// whole batch. Within each shard the batch's edge order is preserved, which
+// grouped by shard with a stable counting sort — a run of consecutive
+// same-user edges routes to one shard, so the shard hash is computed once
+// per run — and every touched shard's mutex is taken once per batch instead
+// of once per edge, so the lock cost and the inner estimator's per-run
+// hoisting amortize over the whole batch. Within each shard the batch's edge order is preserved, which
 // keeps Sharded.ObserveBatch bit-identical to the per-edge Observe loop.
 func (s *Sharded) ObserveBatch(edges []Edge) {
 	if len(edges) == 0 {
