@@ -11,12 +11,14 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -30,6 +32,37 @@ const (
 	crashRotateMod  = 20  // POST /rotate after every 20th batch
 	crashCkptBatch  = 40  // mid-feed POST /checkpoint, so replay rides ON TOP of a checkpoint
 )
+
+// assertSameAnswers checks that a recovered daemon and its uninterrupted
+// twin give the same live answers: /total and two /estimate bodies byte
+// for byte, and every /healthz field except uptime_s, which depends only on
+// when each process started (a replay that crosses a second boundary moves
+// it while the sketches agree).
+func assertSameAnswers(t *testing.T, restored, twin string) {
+	t.Helper()
+	for _, q := range []string{"/total", "/estimate?user=3", "/estimate?user=250"} {
+		_, got := httpGet(t, restored+q)
+		_, want := httpGet(t, twin+q)
+		if got != want {
+			t.Fatalf("%s diverged after crash recovery:\n restored: %s\n twin:     %s", q, got, want)
+		}
+	}
+	health := func(base string) map[string]any {
+		_, body := httpGet(t, base+"/healthz")
+		var m map[string]any
+		if err := json.Unmarshal([]byte(body), &m); err != nil {
+			t.Fatalf("/healthz body %q: %v", body, err)
+		}
+		if _, ok := m["uptime_s"]; !ok {
+			t.Fatalf("/healthz body %q has no uptime_s", body)
+		}
+		delete(m, "uptime_s")
+		return m
+	}
+	if got, want := health(restored), health(twin); !reflect.DeepEqual(got, want) {
+		t.Fatalf("/healthz diverged after crash recovery:\n restored: %v\n twin:     %v", got, want)
+	}
+}
 
 // crashBatchBody renders batch i of the deterministic edge stream as the
 // text ingest protocol.
@@ -189,13 +222,7 @@ func TestDaemonSIGKILLRecovery(t *testing.T) {
 	}
 
 	// Live answers agree...
-	for _, q := range []string{"/total", "/estimate?user=3", "/estimate?user=250", "/healthz"} {
-		_, got := httpGet(t, base2+q)
-		_, want := httpGet(t, base3+q)
-		if got != want {
-			t.Fatalf("%s diverged after crash recovery:\n restored: %s\n twin:     %s", q, got, want)
-		}
-	}
+	assertSameAnswers(t, base2, base3)
 	// ...and so does the full serialized state: checkpoint both and compare
 	// the envelope byte for byte (same sketch bytes, same WAL position,
 	// same in-epoch edge baseline).

@@ -244,13 +244,7 @@ func TestDaemonSIGKILLRecoveryTCP(t *testing.T) {
 			t.Fatalf("twin batch %d: %d", i, code)
 		}
 	}
-	for _, q := range []string{"/total", "/estimate?user=3", "/estimate?user=250", "/healthz"} {
-		_, got := httpGet(t, base2+q)
-		_, want := httpGet(t, base3+q)
-		if got != want {
-			t.Fatalf("%s diverged after TCP crash recovery:\n restored: %s\n twin:     %s", q, got, want)
-		}
-	}
+	assertSameAnswers(t, base2, base3)
 	crashPost(t, base2+"/checkpoint", "")
 	crashPost(t, base3+"/checkpoint", "")
 	restoredCkpt, err := os.ReadFile(filepath.Join(spool, "current.ckpt"))

@@ -115,7 +115,7 @@ func run(args []string, stdout io.Writer) error {
 		dt := time.Since(t0)
 		runtime.ReadMemStats(&ms2)
 		if v == nil {
-			return fmt.Errorf("windowed FreeRS must be snapshottable")
+			return fmt.Errorf("windowed FreeRS must support snapshots")
 		}
 		snapNs += float64(dt.Nanoseconds())
 		snapBytes += float64(ms2.TotalAlloc - ms1.TotalAlloc)

@@ -159,14 +159,6 @@ type Config struct {
 	// default (3); at least one history entry is always kept, since the
 	// newest is a free hard link to current.ckpt.
 	Retain int
-	// Workers is accepted for configuration compatibility but no longer
-	// sizes anything: the ingest pipeline runs exactly one executor per
-	// shard (decode-time partitioning makes each shard's queue a
-	// single-writer sub-stream, so extra workers could only contend).
-	// Negative values are still rejected.
-	//
-	// Deprecated: set Shards to size ingest parallelism.
-	Workers int
 	// QueueDepth bounds each shard's sub-batch queue; a full queue blocks
 	// ingest handlers, which is the service's backpressure. Default 64.
 	QueueDepth int
@@ -220,11 +212,9 @@ func (c *Config) fillDefaults() error {
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
-	if c.Workers < 0 || c.QueueDepth < 0 || c.MaxBodyBytes < 0 {
-		// A negative queue panics make(chan); a negative worker count was
-		// always nonsense (the field is vestigial but still validated so a
-		// config that was wrong before stays wrong).
-		return errors.New("server: Workers, QueueDepth, and MaxBodyBytes must be positive")
+	if c.QueueDepth < 0 || c.MaxBodyBytes < 0 {
+		// A negative queue panics make(chan).
+		return errors.New("server: QueueDepth and MaxBodyBytes must be positive")
 	}
 	if _, err := wal.ParsePolicy(c.WALSync); err != nil {
 		return fmt.Errorf("server: %w", err)
@@ -894,7 +884,7 @@ func (s *Server) checkpointLoop() {
 // frozen cut across every shard. All query handlers, gauges, and the
 // checkpoint writer read from it; none of them take any sketch lock.
 func (s *Server) view() *streamcard.ShardedView {
-	return s.sh.Snapshot() // never nil: the stack is Windowed(FreeBS|FreeRS)
+	return s.sh.Snapshot()
 }
 
 // Checkpoint freezes the full windowed state of every shard from the

@@ -188,6 +188,10 @@ func (s *Server) unmarshalSpool(data []byte) (walSeq, epochEdges uint64, err err
 		if _, err := r.Read(payload); err != nil {
 			return 0, 0, fmt.Errorf("%w: shard %d payload", errSpoolCorrupt, i)
 		}
+		// Writing a shard directly, past the Sharded that owns it, is safe
+		// only here: restore runs inside New, before the first Snapshot,
+		// so no shard snapshot has been published that this write could
+		// leave stale (nothing bumps the shard's version stamp).
 		if err := s.wins[i].UnmarshalBinary(payload); err != nil {
 			return 0, 0, fmt.Errorf("server: restoring shard %d: %w", i, err)
 		}

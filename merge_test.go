@@ -131,10 +131,4 @@ func TestShardedTotalDistinctMerged(t *testing.T) {
 			}
 		})
 	}
-
-	// Non-mergeable shard types are rejected too.
-	cse := NewSharded(2, func(i int) Estimator { return NewCSE(1<<12, 64, WithSeed(1)) })
-	if _, err := cse.TotalDistinctMerged(); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("CSE shards: want ErrIncompatible, got %v", err)
-	}
 }

@@ -7,11 +7,14 @@ import (
 
 	"repro/internal/hashing"
 	"repro/internal/stream"
+	"repro/internal/window"
 )
 
-// Sharded makes any Estimator safe for concurrent use and scalable across
-// cores — the deployment shape the paper's conclusion points at (SDN
-// routers and line-rate monitors process packets on many threads).
+// Sharded makes the paper's estimators safe for concurrent use and scalable
+// across cores — the deployment shape the paper's conclusion points at (SDN
+// routers and line-rate monitors process packets on many threads). Its
+// shards are FreeBS, FreeRS, or a manually rotated Windowed over either;
+// NewSharded refuses anything else.
 //
 // Users are partitioned by hash across N independent shards, each its own
 // estimator behind its own mutex: all edges of a user land in the same
@@ -23,16 +26,16 @@ import (
 //
 // The memory budget given to the constructor is split evenly across shards.
 //
-// Reads are snapshot-isolated: when the shard estimators support
-// copy-on-write snapshots (FreeBS, FreeRS, Windowed over either), every
-// query method is served from an atomically published, epoch-consistent
-// frozen view (see Snapshot and ShardedView in snapshot.go), so queries,
+// Reads are snapshot-isolated: every accepted shard type supports O(1)
+// copy-on-write snapshots, so every query method is served from an
+// atomically published, epoch-consistent frozen view (see Snapshot and
+// ShardedView in snapshot.go). There is no locked read fallback: queries,
 // user enumerations, top-k scans, and checkpoints never hold the shard
 // locks — the write path (Observe/ObserveBatch/Rotate) is the only lock
 // domain, and once a reader exists it also publishes each shard's fresh
 // snapshot as it releases the lock, so queries stay fast (atomic loads)
-// even while large batches are absorbing. Other estimator types fall back
-// to the locked read paths.
+// even while large batches are absorbing. Windowed shards advance their
+// epochs only through Sharded.Rotate, which moves every shard in lockstep.
 type Sharded struct {
 	shards []shard
 	seed   uint64
@@ -44,9 +47,6 @@ type Sharded struct {
 	// path through it yields bit-identical per-shard sub-streams.
 	part *stream.Partitioner
 
-	// snapshottable is fixed at construction: every shard supports O(1)
-	// copy-on-write snapshots, so the read methods route through Snapshot.
-	snapshottable bool
 	// readers arms writer-side snapshot publication; it is set (once, never
 	// cleared) by the first Snapshot call. While unset, writes skip the
 	// per-batch publish entirely — a pure-ingest stack (bulk load, spool
@@ -54,14 +54,13 @@ type Sharded struct {
 	// is using. Correctness never depends on the flag: shardView's locked
 	// refresh covers any shard written before its publication was armed.
 	readers atomic.Bool
-	// set is the published epoch-consistent view of all shards; stale (any
-	// shard's version moved on, or an epoch race was caught) views are
-	// rebuilt incrementally by Snapshot.
+	// set is the published epoch-consistent view of all shards; a stale
+	// view (some shard's version moved on) is rebuilt by Snapshot.
 	set atomic.Pointer[ShardedView]
-	// rotMu serializes whole rotation fan-outs against the fully locked
-	// snapshot cut (collectLocked), so an all-locks view can never
-	// interleave a rotation and both sides stay deadlock-free by taking
-	// rotMu before any shard lock. The ingest paths never touch it.
+	// rotMu serializes whole rotation fan-outs against Snapshot's last
+	// assembly attempt, which therefore always sees every shard at one
+	// epoch. Both take rotMu before any shard lock; the ingest paths never
+	// touch it.
 	rotMu sync.Mutex
 }
 
@@ -78,7 +77,13 @@ type shard struct {
 
 // NewSharded returns a sharded wrapper with n shards; build(i) must return
 // a fresh estimator for shard i (use distinct seeds per shard for hash
-// independence). It panics if n <= 0 or build returns nil.
+// independence). It panics if n <= 0, build returns nil, or a shard is not
+// a FreeBS, a FreeRS, or a Windowed over either that rotates only when told
+// to (no WithRotateEveryEdges or WithRotateEvery): the read path serves
+// only snapshots, and Sharded.Rotate must be the one place epochs advance.
+// The shards belong to the Sharded after construction: observing into,
+// rotating, or restoring one directly bypasses the version stamps the
+// published snapshots are checked against.
 func NewSharded(n int, build func(shard int) Estimator) *Sharded {
 	if n <= 0 {
 		panic("streamcard: NewSharded requires n > 0")
@@ -91,19 +96,33 @@ func NewSharded(n int, build func(shard int) Estimator) *Sharded {
 		seed:   hashing.Mix64(uint64(n) ^ 0x3779c0ffee),
 	}
 	s.part = stream.NewPartitioner(n, s.ShardIndex)
-	s.snapshottable = true
 	for i := range s.shards {
 		est := build(i)
 		if est == nil {
 			panic("streamcard: build returned nil estimator")
 		}
-		s.shards[i].est = est
 		if !estSnapshottable(est) {
-			s.snapshottable = false
+			panic(fmt.Sprintf("streamcard: NewSharded needs FreeBS, FreeRS, or manually rotated Windowed shards, not %s", est.Name()))
 		}
+		s.shards[i].est = est
 	}
 	s.name = fmt.Sprintf("Sharded(%s,%d)", s.shards[0].est.Name(), n)
 	return s
+}
+
+// estSnapshottable is NewSharded's shard check: FreeBS, FreeRS, or a
+// Windowed over either whose epochs advance only through Rotate
+// (window.Manual) — every shard then snapshots in O(1), and Sharded.Rotate
+// is the only place shard epochs move.
+func estSnapshottable(e Estimator) bool {
+	switch t := e.(type) {
+	case *FreeBS, *FreeRS:
+		return true
+	case *Windowed:
+		_, manual := t.cfg.boundary.(window.Manual)
+		return t.canSnap && manual
+	}
+	return false
 }
 
 func (s *Sharded) shardFor(user uint64) *shard {
@@ -130,7 +149,7 @@ func (s *Sharded) Observe(user, item uint64) {
 	sh.mu.Lock()
 	sh.est.Observe(user, item)
 	sh.ver.Add(1)
-	if s.snapshottable && s.readers.Load() {
+	if s.readers.Load() {
 		sh.publishLocked()
 	}
 	sh.mu.Unlock()
@@ -152,7 +171,7 @@ func (s *Sharded) ObserveBatch(edges []Edge) {
 	// keeps query latency flat under batch ingest: a reader assembling a
 	// view mid-batch finds current snapshots waiting instead of queueing
 	// behind the absorb for a locked refresh.
-	pub := s.snapshottable && s.readers.Load()
+	pub := s.readers.Load()
 	b := s.part.Split(edges)
 	for t := range s.shards {
 		if sub := b.Shard(t); len(sub) > 0 {
@@ -182,7 +201,7 @@ func (s *Sharded) ObserveShardBatch(idx int, edges []Edge) {
 	if len(edges) == 0 {
 		return
 	}
-	s.absorbShard(idx, edges, s.snapshottable && s.readers.Load())
+	s.absorbShard(idx, edges, s.readers.Load())
 }
 
 // absorbShard feeds one shard-pure sub-batch to shard t under its lock,
@@ -199,32 +218,11 @@ func (s *Sharded) absorbShard(t int, sub []Edge, pub bool) {
 }
 
 // Estimate implements Estimator; safe for concurrent use. Served from the
-// published snapshot when available: no shard lock is held for the read.
-func (s *Sharded) Estimate(user uint64) float64 {
-	if v := s.Snapshot(); v != nil {
-		return v.Estimate(user)
-	}
-	sh := s.shardFor(user)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.est.Estimate(user)
-}
+// published snapshot: no shard lock is held for the read.
+func (s *Sharded) Estimate(user uint64) float64 { return s.Snapshot().Estimate(user) }
 
-// TotalDistinct implements Estimator (sum across shards; snapshot-served
-// when available).
-func (s *Sharded) TotalDistinct() float64 {
-	if v := s.Snapshot(); v != nil {
-		return v.TotalDistinct()
-	}
-	total := 0.0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		total += sh.est.TotalDistinct()
-		sh.mu.Unlock()
-	}
-	return total
-}
+// TotalDistinct implements Estimator (sum across shards, snapshot-served).
+func (s *Sharded) TotalDistinct() float64 { return s.Snapshot().TotalDistinct() }
 
 // MemoryBits implements Estimator (sum across shards).
 func (s *Sharded) MemoryBits() int64 {
@@ -242,183 +240,39 @@ func (s *Sharded) MemoryBits() int64 {
 // combined sketch's total — the array-derived, low-variance reading of the
 // union, the way per-shard sketches are merged for a database-wide
 // cardinality instead of summing independent estimates. It requires every
-// shard to wrap the same mergeable type (FreeBS, FreeRS, or a Windowed over
-// either) built with identical parameters, including the seed: build shards
-// with a shared seed to use it (user-partitioning keeps per-user estimates
-// exact either way). With the customary distinct per-shard seeds it reports
-// ErrIncompatible — fall back to TotalDistinct, which sums shard totals and
-// needs no compatibility. Windowed shards additionally require every shard
-// to sit at the same epoch (ErrIncompatible otherwise), which Rotate
-// guarantees as long as rotations go through it. Safe for concurrent use.
-// When snapshots are available the merge runs on the published frozen view
+// shard to wrap the same mergeable type built with identical parameters,
+// including the seed: build shards with a shared seed to use it
+// (user-partitioning keeps per-user estimates exact either way). With the
+// customary distinct per-shard seeds it reports ErrIncompatible — fall back
+// to TotalDistinct, which sums shard totals and needs no compatibility.
+// Safe for concurrent use: the merge runs on the published frozen view
 // with no shard lock held, and the result is cached on that view until the
 // next write publishes a fresh one — repeated totals over an unchanged
 // stack pay a single merge.
-func (s *Sharded) TotalDistinctMerged() (float64, error) {
-	if v := s.Snapshot(); v != nil {
-		return v.TotalDistinctMerged()
-	}
-	switch s.shards[0].est.(type) {
-	case *FreeBS:
-		return mergeShards(s, func(e Estimator) (*FreeBS, bool) { f, ok := e.(*FreeBS); return f, ok })
-	case *FreeRS:
-		return mergeShards(s, func(e Estimator) (*FreeRS, bool) { f, ok := e.(*FreeRS); return f, ok })
-	case *Windowed:
-		return mergeWindowedShards(s)
-	default:
-		return 0, fmt.Errorf("streamcard: %s shards are not mergeable: %w",
-			s.shards[0].est.Name(), ErrIncompatible)
-	}
-}
-
-// mergeable is the self-referential merge surface both FreeBS and FreeRS
-// expose; mergeShards is generic over it so the clone-then-fold aggregation
-// is written once.
-type mergeable[T any] interface {
-	Merge(T) error
-	Clone() T
-	TotalDistinct() float64
-}
-
-// mergeWindowedShards is the Windowed variant of mergeShards: same
-// clone-then-fold shape, but folding in place with foldFrom rather than
-// through Windowed.Merge, whose per-fold atomicity would re-clone every
-// generation of the accumulator once per shard — the accumulator here is
-// private, so a failed fold just discards it. At most one shard lock is
-// held at a time; a rotation racing between shards makes epochs mismatch,
-// which reports ErrIncompatible (callers fall back to TotalDistinct).
-func mergeWindowedShards(s *Sharded) (float64, error) {
-	var combined *Windowed
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		w, ok := sh.est.(*Windowed)
-		var err error
-		if ok {
-			if i == 0 {
-				combined = w.Clone()
-			} else {
-				err = combined.foldFrom(w)
-			}
-		}
-		sh.mu.Unlock()
-		if !ok {
-			return 0, fmt.Errorf("streamcard: shard %d is not *Windowed: %w", i, ErrIncompatible)
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	return combined.TotalDistinct(), nil
-}
-
-// mergeShards clones shard 0's estimator and folds every other shard in,
-// holding at most one shard lock at a time. cast narrows the interface-typed
-// shard estimator to the concrete mergeable type (failing when shards mix
-// types, which NewSharded's single build function cannot produce but the
-// aggregation refuses to assume).
-func mergeShards[T mergeable[T]](s *Sharded, cast func(Estimator) (T, bool)) (float64, error) {
-	var combined T
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		est, ok := cast(sh.est)
-		var err error
-		if ok {
-			if i == 0 {
-				combined = est.Clone()
-			} else {
-				err = combined.Merge(est)
-			}
-		}
-		sh.mu.Unlock()
-		if !ok {
-			return 0, fmt.Errorf("streamcard: shard %d is not %T: %w", i, combined, ErrIncompatible)
-		}
-		if err != nil {
-			return 0, err
-		}
-	}
-	return combined.TotalDistinct(), nil
-}
+func (s *Sharded) TotalDistinctMerged() (float64, error) { return s.Snapshot().TotalDistinctMerged() }
 
 // Users implements AnytimeEstimator: fn is called once per user with a
 // nonzero estimate, fanning out across the shards. Users partition across
 // shards (all of a user's edges land in one shard), so every user is
 // reported exactly once and the union of the per-shard user sets is the
-// deployment-wide user set — no merge map needed, unlike Windowed. Each
-// shard's lock is held while its users stream through fn, so fn must not
-// call back into s (the locks are not reentrant). It requires the shard
-// estimators to be AnytimeEstimators (FreeBS, FreeRS, or Windowed over
-// either) and panics otherwise. Report order is fully deterministic: shards
-// in index order, each shard's users in ascending user order (the
-// AnytimeEstimator enumeration contract) — so /users-style output is
-// reproducible across runs and restarts. RangeUsers skips the per-shard
-// sort when order does not matter.
-//
-// Snapshot-served when available: the enumeration then runs on a frozen
-// view with no shard lock held, so fn may be slow (or call back into s)
-// without stalling ingest.
-func (s *Sharded) Users(fn func(user uint64, estimate float64)) {
-	if v := s.Snapshot(); v != nil {
-		v.Users(fn)
-		return
-	}
-	s.eachShardUsers(func(a AnytimeEstimator) { a.Users(fn) }, "Users")
-}
+// deployment-wide user set — no merge map needed, unlike Windowed. Report
+// order is fully deterministic: shards in index order, each shard's users
+// in ascending user order (the AnytimeEstimator enumeration contract) — so
+// /users-style output is reproducible across runs and restarts. RangeUsers
+// skips the per-shard sort when order does not matter. The enumeration
+// runs on a frozen snapshot with no shard lock held, so fn may be slow (or
+// call back into s) without stalling ingest.
+func (s *Sharded) Users(fn func(user uint64, estimate float64)) { s.Snapshot().Users(fn) }
 
 // RangeUsers implements UserRanger: the same exactly-once fan-out as Users
 // (users partition across shards), each shard iterated through its
-// unordered allocation-free surface. Same locking caveats as Users.
-func (s *Sharded) RangeUsers(fn func(user uint64, estimate float64)) {
-	if v := s.Snapshot(); v != nil {
-		v.RangeUsers(fn)
-		return
-	}
-	s.eachShardUsers(func(a AnytimeEstimator) { rangeUsers(a, fn) }, "RangeUsers")
-}
-
-// eachShardUsers runs visit over every shard's AnytimeEstimator in shard
-// order, one shard lock at a time, panicking (outside the lock) on shards
-// that maintain no per-user estimates.
-func (s *Sharded) eachShardUsers(visit func(AnytimeEstimator), method string) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		a, ok := sh.est.(AnytimeEstimator)
-		if ok {
-			visit(a)
-		}
-		sh.mu.Unlock()
-		if !ok {
-			panic(fmt.Sprintf("streamcard: Sharded.%s needs AnytimeEstimator shards (FreeBS/FreeRS/Windowed), not %s", method, sh.est.Name()))
-		}
-	}
-}
+// unordered allocation-free surface.
+func (s *Sharded) RangeUsers(fn func(user uint64, estimate float64)) { s.Snapshot().RangeUsers(fn) }
 
 // NumUsers implements AnytimeEstimator: the total number of users with a
 // nonzero estimate, the sum of the per-shard counts (exact, since users
-// partition across shards). Same requirements as Users; snapshot-served
-// when available.
-func (s *Sharded) NumUsers() int {
-	if v := s.Snapshot(); v != nil {
-		return v.NumUsers()
-	}
-	total := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		a, ok := sh.est.(AnytimeEstimator)
-		if ok {
-			total += a.NumUsers()
-		}
-		sh.mu.Unlock()
-		if !ok {
-			panic(fmt.Sprintf("streamcard: Sharded.NumUsers needs AnytimeEstimator shards (FreeBS/FreeRS/Windowed), not %s", sh.est.Name()))
-		}
-	}
-	return total
-}
+// partition across shards). Snapshot-served.
+func (s *Sharded) NumUsers() int { return s.Snapshot().NumUsers() }
 
 // Rotator is the epoch-advance surface of time-windowed estimators:
 // Windowed implements it, Sharded fans it out, and deployments drive it from
@@ -437,33 +291,33 @@ type Rotator interface {
 // same epoch: a Sharded(Windowed(...)) rotates coherently under one epoch
 // as long as rotations are issued from one place, which is also what keeps
 // concurrent runs bit-identical to a sequential twin rotated at the same
-// stream positions. It panics if the shard estimators do not implement
-// Rotator.
+// stream positions. It panics, rotating nothing, if the shards are not
+// Windowed.
 //
 // Rotation publishes instead of quiescing: each shard's fresh snapshot
 // (the new epoch) is published while its lock is still held, and readers
 // assembling a cross-shard view mid-fan-out simply retry until every shard
 // reports the same epoch (Snapshot) — no reader is ever blocked for the
-// whole fan-out. The fan-out runs under rotMu so the fully locked snapshot
-// cut can exclude it.
+// whole fan-out. The fan-out runs under rotMu so Snapshot's last assembly
+// attempt can exclude it.
 func (s *Sharded) Rotate() {
+	// Shard estimators never change after construction, so the type check
+	// needs no lock; checking every shard first keeps a refused rotation
+	// from leaving the shards at different epochs.
+	for i := range s.shards {
+		if _, ok := s.shards[i].est.(Rotator); !ok {
+			panic(fmt.Sprintf("streamcard: %s shards do not rotate (wrap a Windowed estimator)", s.shards[i].est.Name()))
+		}
+	}
 	s.rotMu.Lock()
 	defer s.rotMu.Unlock()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		r, ok := sh.est.(Rotator)
-		if ok {
-			r.Rotate()
-			sh.ver.Add(1)
-			if s.snapshottable {
-				sh.publishLocked()
-			}
-		}
+		sh.est.(Rotator).Rotate()
+		sh.ver.Add(1)
+		sh.publishLocked()
 		sh.mu.Unlock()
-		if !ok {
-			panic(fmt.Sprintf("streamcard: %s shards do not rotate (wrap a Windowed estimator)", sh.est.Name()))
-		}
 	}
 	// Drop the assembled pre-rotation view: it references every shard's
 	// pre-rotation generations — including the ones this rotation just
@@ -480,10 +334,7 @@ func (s *Sharded) Name() string { return s.name }
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
 var (
-	_ Estimator = (*Sharded)(nil)
-	// AnytimeEstimator holds whenever the shard estimators are themselves
-	// AnytimeEstimators (FreeBS, FreeRS, or Windowed over either); Users and
-	// NumUsers panic otherwise. The same caveat applies to UserRanger.
+	_ Estimator        = (*Sharded)(nil)
 	_ AnytimeEstimator = (*Sharded)(nil)
 	_ UserRanger       = (*Sharded)(nil)
 )

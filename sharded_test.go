@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/exact"
 	"repro/internal/hashing"
@@ -111,4 +112,23 @@ func TestShardedPanics(t *testing.T) {
 	mustPanic(t, func() { NewSharded(0, func(int) Estimator { return NewFreeBS(64) }) })
 	mustPanic(t, func() { NewSharded(2, nil) })
 	mustPanic(t, func() { NewSharded(2, func(int) Estimator { return nil }) })
+
+	// Shards that cannot snapshot, or that would advance their own epochs
+	// outside Sharded.Rotate, are refused at construction.
+	freeRS := func() Estimator { return NewFreeRS(1<<12, WithSeed(1)) }
+	for name, build := range map[string]func() Estimator{
+		"CSE":           func() Estimator { return NewCSE(1<<12, 64) },
+		"vHLL":          func() Estimator { return NewVHLL(1<<12, 64) },
+		"Windowed(CSE)": func() Estimator { return NewWindowed(func() Estimator { return NewCSE(1<<12, 64) }) },
+		"Windowed+RotateEveryEdges": func() Estimator {
+			return NewWindowed(freeRS, WithRotateEveryEdges(100))
+		},
+		"Windowed+RotateEvery": func() Estimator {
+			return NewWindowed(freeRS, WithRotateEvery(time.Second))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			mustPanic(t, func() { NewSharded(2, func(int) Estimator { return build() }) })
+		})
+	}
 }

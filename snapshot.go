@@ -3,31 +3,30 @@ package streamcard
 // The sharded read path. Every query surface of Sharded — Estimate, totals,
 // user enumeration, top-k, checkpointing — is served from a ShardedView: a
 // set of per-shard frozen snapshots published through atomic pointers and
-// assembled into one epoch-consistent cut. Queries never hold the shard
-// locks: the write path (Observe, ObserveBatch, Rotate) publishes each
-// shard's fresh snapshot as it releases the shard lock, so view assembly is
-// pure atomic loads even while a 65k-edge batch is mid-absorb. (An earlier
-// design made the *reader* refresh a stale snapshot under the shard lock,
-// which queued every query issued during a large ObserveBatch behind the
-// whole batch — tens of milliseconds per query under continuous ingest.
-// That locked refresh survives only as shardView's fallback for shards that
-// were mutated before any reader existed, or out of band.) This is the
-// architecture time-series storage engines use for cardinality serving —
-// immutable snapshots so reads never stall writes — and it makes the write
-// path the only lock domain in the stack.
+// assembled into one epoch-consistent cut. It is the only read path:
+// NewSharded accepts only shards that snapshot in O(1) (FreeBS, FreeRS, or a
+// manually rotated Windowed over either), so there is no locked fallback.
+// Queries never hold the shard locks: the write path (Observe, ObserveBatch,
+// Rotate) publishes each shard's fresh snapshot as it releases the shard
+// lock, so view assembly is pure atomic loads even while a 65k-edge batch is
+// mid-absorb. (An earlier design made the *reader* refresh a stale snapshot
+// under the shard lock, which queued every query issued during a large
+// ObserveBatch behind the whole batch — tens of milliseconds per query under
+// continuous ingest. That locked refresh survives only in shardView, for
+// shards that were written before any reader armed publication.) This is
+// the architecture time-series storage engines use for cardinality serving
+// — immutable snapshots so reads never stall writes — and it makes the
+// write path the only lock domain in the stack.
 //
 // Consistency: a view's shards are always each a valid frozen prefix of
 // their own sub-stream (users partition across shards, so there is no
 // cross-shard ordering to tear), and when the shards are windowed the view
-// additionally freezes ONE epoch: assembly re-reads shards until all report
-// the same epoch, escalating after a few lock-free attempts to a fully
-// locked cut (all shard locks, ordered, under the same rotation mutex
-// Sharded.Rotate holds), so a rotation in flight can delay a query by
-// microseconds but can never leak a torn pre/post-rotation mix into it.
-// Stacks whose shards rotate themselves independently (per-shard ByEdges /
-// ByDuration boundaries) have no common epoch to freeze; their views are
-// marked epoch-inconsistent and the merged total reports ErrIncompatible,
-// exactly as the locked aggregation always has for such stacks.
+// additionally freezes ONE epoch. Sharded.Rotate is the only place shard
+// epochs advance, so assembly re-reads shards until all report the same
+// epoch, and after a few lock-free attempts assembles once more holding the
+// rotation mutex, which no rotation can interleave: a rotation in flight can
+// delay a query by microseconds but can never leak a torn pre/post-rotation
+// mix into it.
 
 import (
 	"fmt"
@@ -39,58 +38,22 @@ import (
 // with the shard's mutation version, plus the window epoch it froze (when
 // the shard is windowed).
 type shardSnap struct {
-	view     Estimator
+	view     AnytimeEstimator
 	ver      uint64
 	epoch    uint64
 	windowed bool
-
-	// src/srcVer guard against mutations that bypass the shard lock: a
-	// windowed shard rotated (or fed) directly, not through the Sharded,
-	// advances its ring version without touching sh.ver, and the shard's
-	// version stamp alone would keep serving the pre-mutation snapshot as
-	// fresh. srcVer is the ring version read before the snapshot was taken
-	// (conservative: a racing out-of-band write makes the stamp stale, never
-	// wrongly fresh). src is nil for non-windowed shards.
-	src    *Windowed
-	srcVer uint64
-}
-
-// srcFresh reports whether the snapshot's source ring (if any) is still at
-// the version the snapshot froze.
-func (p *shardSnap) srcFresh() bool {
-	return p.src == nil || p.src.ring.Version() == p.srcVer
-}
-
-// estSnapshottable reports whether a shard estimator supports O(1)
-// copy-on-write snapshots.
-func estSnapshottable(e Estimator) bool {
-	switch t := e.(type) {
-	case *FreeBS, *FreeRS:
-		return true
-	case *Windowed:
-		return t.canSnap
-	}
-	return false
 }
 
 // publishLocked refreshes the shard's published snapshot. Caller holds
-// sh.mu; the shard estimator must be snapshottable. It is called by the
-// write path as it releases the lock (so readers find a fresh snapshot
-// waiting) and by shardView's fallback for snapshots staled out of band.
+// sh.mu. It is called by the write path as it releases the lock (so readers
+// find a fresh snapshot waiting) and by shardView's fallback for shards
+// written before publication was armed.
 func (sh *shard) publishLocked() *shardSnap {
-	if p := sh.snap.Load(); p != nil && p.ver == sh.ver.Load() && p.srcFresh() {
+	if p := sh.snap.Load(); p != nil && p.ver == sh.ver.Load() {
 		return p // already current — nothing was written since
 	}
-	var src *Windowed
-	var srcVer uint64
-	if w, ok := sh.est.(*Windowed); ok {
-		// Stamp before snapshotting: an out-of-band write racing in between
-		// makes the stamp stale, which is the safe direction.
-		src, srcVer = w, w.ring.Version()
-	}
-	view := sh.est.(Snapshotter).SnapshotView()
-	p := &shardSnap{view: view, ver: sh.ver.Load(), src: src, srcVer: srcVer}
-	if w, ok := view.(*Windowed); ok {
+	p := &shardSnap{view: sh.est.(Snapshotter).SnapshotView().(AnytimeEstimator), ver: sh.ver.Load()}
+	if w, ok := p.view.(*Windowed); ok {
 		p.epoch = uint64(w.Epoch())
 		p.windowed = true
 	}
@@ -101,15 +64,14 @@ func (sh *shard) publishLocked() *shardSnap {
 // shardView returns shard i's current snapshot. On the serving path this is
 // one atomic load: the write path published a fresh snapshot as it released
 // the shard lock, so the stamp check succeeds even while another batch is
-// absorbing. The locked refresh below is the fallback for snapshots that
-// went stale without a publication — a shard written before any reader
-// armed publication (Sharded.Snapshot arms it on first use), or a windowed
-// shard mutated out of band (srcFresh) — and costs one brief lock hold; the
-// snapshot itself is an O(1) copy-on-write fork either way, with the writer
-// paying the lazy array copy on its next write.
+// absorbing. The locked refresh below is the fallback for a shard written
+// before any reader armed publication (Sharded.Snapshot arms it on first
+// use) and costs one brief lock hold; the snapshot itself is an O(1)
+// copy-on-write fork either way, with the writer paying the lazy array copy
+// on its next write.
 func (s *Sharded) shardView(i int) *shardSnap {
 	sh := &s.shards[i]
-	if p := sh.snap.Load(); p != nil && p.ver == sh.ver.Load() && p.srcFresh() {
+	if p := sh.snap.Load(); p != nil && p.ver == sh.ver.Load() {
 		return p
 	}
 	sh.mu.Lock()
@@ -124,20 +86,14 @@ func (s *Sharded) shardView(i int) *shardSnap {
 // Reads of a view are lock-free and safe from any number of goroutines.
 type ShardedView struct {
 	parent *Sharded
-	views  []Estimator
+	views  []AnytimeEstimator
 	// snaps are the per-shard snapshots the view was assembled from, kept
-	// for freshness checks (version stamp plus the out-of-band srcFresh
-	// guard); views duplicates their estimators so the read hot path skips
-	// one indirection.
+	// for version-stamp freshness checks; views duplicates their estimators
+	// so the read hot path skips one indirection.
 	snaps      []*shardSnap
 	epoch      uint64
 	windowed   bool
 	consistent bool
-	// settled marks an epoch-inconsistent view produced with rotations
-	// excluded (the fully locked cut): the inconsistency is genuine drift
-	// (shards rotating themselves on per-shard boundaries), not a rotation
-	// caught mid-fan-out, so there is no better cut to wait for.
-	settled bool
 
 	// The merged union total is cached on the view: repeated /total queries
 	// against the same published cut merge once. A new publication is a new
@@ -148,15 +104,10 @@ type ShardedView struct {
 }
 
 // fresh reports whether the view still reflects every shard's current
-// version (and froze a consistent epoch, when that is achievable at all —
-// a settled-inconsistent view of a genuinely drifting stack stays fresh
-// until a version moves, since epochs cannot change without one).
+// version.
 func (v *ShardedView) fresh(s *Sharded) bool {
-	if v.windowed && !v.consistent && !v.settled {
-		return false
-	}
 	for i := range v.snaps {
-		if p := v.snaps[i]; p.ver != s.shards[i].ver.Load() || !p.srcFresh() {
+		if v.snaps[i].ver != s.shards[i].ver.Load() {
 			return false
 		}
 	}
@@ -164,20 +115,16 @@ func (v *ShardedView) fresh(s *Sharded) bool {
 }
 
 // snapshotRetries is how many lock-free assembly attempts Snapshot makes
-// before escalating to the fully locked cut. A rotation fan-out completes
+// before assembling under the rotation mutex. A rotation fan-out completes
 // in microseconds, so lock-free retries almost always win first.
 const snapshotRetries = 4
 
-// Snapshot returns the current epoch-consistent view of all shards, or nil
-// when the shard estimators do not support snapshots (callers fall back to
-// locked reads). While no shard has been written, repeated calls return the
+// Snapshot returns the current epoch-consistent view of all shards; it is
+// never nil. While no shard has been written, repeated calls return the
 // same published view — which is what makes the per-view caches (the merged
 // total) effective — and a call after a completed write always reflects it
 // (read-your-writes: the ?wait=1 ingestion contract).
 func (s *Sharded) Snapshot() *ShardedView {
-	if !s.snapshottable {
-		return nil
-	}
 	if !s.readers.Load() {
 		// First reader arms writer-side publication: from here on every
 		// write publishes its shard's fresh snapshot as it releases the
@@ -191,30 +138,18 @@ func (s *Sharded) Snapshot() *ShardedView {
 	if prev != nil && prev.fresh(s) {
 		return prev
 	}
-	for attempt := 0; ; attempt++ {
-		v, ok := s.collect()
-		switch {
-		case ok:
-			// One consistent epoch, assembled lock-free.
-		case prev != nil && prev.windowed && !prev.consistent:
-			// The stack is already diagnosed as genuinely drifting
-			// (per-shard self-rotation — only collectLocked stores an
-			// inconsistent view, and it marks the diagnosis settled):
-			// epoch mixes are its permanent condition, so serve the
-			// lock-free cut instead of paying the locked assembly on
-			// every read.
-			v.settled = true
-		case attempt < snapshotRetries:
-			runtime.Gosched() // a rotation is mid-fan-out; let it finish
-			continue
-		default:
-			// Distinguish a slow rotation from genuine drift: with
-			// rotations excluded, a lockstep stack must settle on one
-			// epoch; what still disagrees is truthfully inconsistent.
-			v = s.collectLocked()
+	for attempt := 0; attempt < snapshotRetries; attempt++ {
+		if v, ok := s.collect(); ok {
+			return s.publishView(prev, v)
 		}
-		return s.publishView(prev, v)
+		runtime.Gosched() // a rotation is mid-fan-out; let it finish
 	}
+	// With rotations excluded every shard sits at one epoch: Sharded.Rotate
+	// is the only place shard epochs advance.
+	s.rotMu.Lock()
+	v, _ := s.collect()
+	s.rotMu.Unlock()
+	return s.publishView(prev, v)
 }
 
 // publishView installs v as the published cross-shard view, guarding
@@ -239,20 +174,21 @@ func (s *Sharded) publishView(prev, v *ShardedView) *ShardedView {
 	return v
 }
 
-// assemble builds a view by reading each shard's snapshot through get,
-// tracking the windowed-epoch consistency bookkeeping shared by the
-// lock-free and fully locked assembly paths.
-func (s *Sharded) assemble(get func(i int) *shardSnap) *ShardedView {
+// collect assembles a view from each shard's current snapshot (per-shard
+// fast paths; a brief shard lock only where a shard's snapshot is stale).
+// ok is false when windowed shards reported different epochs — a rotation
+// was caught mid-fan-out.
+func (s *Sharded) collect() (v *ShardedView, ok bool) {
 	n := len(s.shards)
-	v := &ShardedView{
+	v = &ShardedView{
 		parent:     s,
-		views:      make([]Estimator, n),
+		views:      make([]AnytimeEstimator, n),
 		snaps:      make([]*shardSnap, n),
 		consistent: true,
 	}
 	first := true
 	for i := range s.shards {
-		p := get(i)
+		p := s.shardView(i)
 		v.views[i], v.snaps[i] = p.view, p
 		if p.windowed {
 			v.windowed = true
@@ -263,40 +199,7 @@ func (s *Sharded) assemble(get func(i int) *shardSnap) *ShardedView {
 			}
 		}
 	}
-	return v
-}
-
-// collect assembles a view lock-free (per-shard fast paths; a brief shard
-// lock only where a shard's snapshot is stale). ok is false when windowed
-// shards reported different epochs — a rotation was caught mid-fan-out.
-func (s *Sharded) collect() (v *ShardedView, ok bool) {
-	v = s.assemble(s.shardView)
 	return v, v.consistent
-}
-
-// collectLocked assembles a view under the rotation mutex plus every shard
-// lock (ascending order — no other path holds two shard locks, so this
-// cannot deadlock): with rotations excluded, a lockstep stack always yields
-// one consistent epoch. Only independently self-rotating shards can still
-// disagree here, and then the view is marked settled: truthfully
-// inconsistent with nothing to wait for, so later reads of the unchanged
-// stack reuse it instead of re-escalating.
-func (s *Sharded) collectLocked() *ShardedView {
-	s.rotMu.Lock()
-	defer s.rotMu.Unlock()
-	for i := range s.shards {
-		s.shards[i].mu.Lock()
-	}
-	defer func() {
-		for i := range s.shards {
-			s.shards[i].mu.Unlock()
-		}
-	}()
-	v := s.assemble(func(i int) *shardSnap { return s.shards[i].publishLocked() })
-	if !v.consistent {
-		v.settled = true
-	}
-	return v
 }
 
 // NumShards returns the number of per-shard views.
@@ -311,9 +214,9 @@ func (v *ShardedView) ShardView(i int) Estimator { return v.views[i] }
 func (v *ShardedView) Epoch() int { return int(v.epoch) }
 
 // EpochConsistent reports whether every windowed shard froze the same epoch
-// in this view. It is always true for views of lockstep stacks (rotations
-// issued through Sharded.Rotate) and for non-windowed shards; only shards
-// rotating themselves independently can make it false.
+// in this view. It is true for every view Snapshot returns: Sharded.Rotate
+// is the only place shard epochs advance, and Snapshot never returns a cut
+// taken mid-rotation.
 func (v *ShardedView) EpochConsistent() bool { return !v.windowed || v.consistent }
 
 // Observe implements Estimator; a view is read-only and panics.
@@ -352,29 +255,18 @@ func (v *ShardedView) MemoryBits() int64 {
 // Name implements Estimator.
 func (v *ShardedView) Name() string { return v.parent.name }
 
-// anytime narrows shard i's view, panicking with the aggregate method's
-// name on estimators that keep no per-user estimates (same contract as the
-// locked Sharded aggregations).
-func (v *ShardedView) anytime(i int, method string) AnytimeEstimator {
-	a, ok := v.views[i].(AnytimeEstimator)
-	if !ok {
-		panic(fmt.Sprintf("streamcard: ShardedView.%s needs AnytimeEstimator shards (FreeBS/FreeRS/Windowed), not %s", method, v.views[i].Name()))
-	}
-	return a
-}
-
 // Users implements AnytimeEstimator: every user exactly once (users
 // partition across shards), shards in index order and ascending user IDs
-// within each — the same fully deterministic order as Sharded.Users, but
-// with no lock held for the duration of the stream: fn may be arbitrarily
-// slow, or even call back into the parent Sharded, without stalling ingest.
+// within each, with no lock held for the duration of the stream: fn may be
+// arbitrarily slow, or even call back into the parent Sharded, without
+// stalling ingest.
 // The expensive part — each shard's cross-generation window fold — is
 // pre-warmed on the worker pool first; only the ordered streaming of fn
 // stays on this goroutine.
 func (v *ShardedView) Users(fn func(user uint64, estimate float64)) {
 	v.prepareFolds()
-	for i := range v.views {
-		v.anytime(i, "Users").Users(fn)
+	for _, e := range v.views {
+		e.Users(fn)
 	}
 }
 
@@ -383,8 +275,8 @@ func (v *ShardedView) Users(fn func(user uint64, estimate float64)) {
 // fold pre-warm (fn itself is still called serially).
 func (v *ShardedView) RangeUsers(fn func(user uint64, estimate float64)) {
 	v.prepareFolds()
-	for i := range v.views {
-		rangeUsers(v.anytime(i, "RangeUsers"), fn)
+	for _, e := range v.views {
+		rangeUsers(e, fn)
 	}
 }
 
@@ -392,14 +284,9 @@ func (v *ShardedView) RangeUsers(fn func(user uint64, estimate float64)) {
 // since users partition across shards). The per-shard counts — each a
 // window fold on windowed stacks — run on the worker pool.
 func (v *ShardedView) NumUsers() int {
-	n := len(v.views)
-	ests := make([]AnytimeEstimator, n)
-	for i := range ests {
-		ests[i] = v.anytime(i, "NumUsers")
-	}
-	counts := make([]int, n)
-	forEachShard(n, func(i int) {
-		counts[i] = ests[i].NumUsers()
+	counts := make([]int, len(v.views))
+	forEachShard(len(v.views), func(i int) {
+		counts[i] = v.views[i].NumUsers()
 	})
 	total := 0
 	for _, c := range counts {
@@ -413,44 +300,41 @@ func (v *ShardedView) NumUsers() int {
 // TotalDistinctMerged on the Sharded serves. The merge runs entirely on the
 // frozen views (no shard lock is ever taken) and the result is cached on
 // the view: as long as no shard is written, repeated calls pay one merge
-// total. Requirements are unchanged: identically built shards (shared
-// seed), and for windowed shards one common epoch — a view of an
-// epoch-inconsistent stack reports ErrIncompatible, as the locked
-// aggregation did.
+// total. It requires identically built shards (shared seed) and reports
+// ErrIncompatible otherwise.
 func (v *ShardedView) TotalDistinctMerged() (float64, error) {
 	v.mergedOnce.Do(func() {
-		if v.windowed && !v.consistent {
-			v.mergedErr = fmt.Errorf("streamcard: shards at different epochs: %w", ErrIncompatible)
-			return
-		}
 		v.merged, v.mergedErr = mergeEstimators(v.views)
 	})
 	return v.merged, v.mergedErr
 }
 
-// mergeEstimators clones the first estimator and folds the rest in — the
-// same clone-then-fold aggregation as the locked shard merge, over an
-// already frozen slice.
-func mergeEstimators(views []Estimator) (float64, error) {
+// mergeEstimators clones the first frozen shard view and folds the rest in.
+func mergeEstimators(views []AnytimeEstimator) (float64, error) {
 	switch views[0].(type) {
 	case *FreeBS:
-		return mergeViewsTyped(views, func(e Estimator) (*FreeBS, bool) { f, ok := e.(*FreeBS); return f, ok })
+		return mergeViewsTyped[*FreeBS](views)
 	case *FreeRS:
-		return mergeViewsTyped(views, func(e Estimator) (*FreeRS, bool) { f, ok := e.(*FreeRS); return f, ok })
-	case *Windowed:
-		return mergeWindowedViews(views)
-	default:
-		return 0, fmt.Errorf("streamcard: %s shards are not mergeable: %w",
-			views[0].Name(), ErrIncompatible)
+		return mergeViewsTyped[*FreeRS](views)
 	}
+	return mergeWindowedViews(views) // NewSharded admits no other shard type
 }
 
-// mergeViewsTyped is mergeShards' frozen-slice twin: no locks, same
-// clone-then-fold shape, generic over the shared mergeable constraint.
-func mergeViewsTyped[T mergeable[T]](views []Estimator, cast func(Estimator) (T, bool)) (float64, error) {
+// mergeable is the self-referential merge surface both FreeBS and FreeRS
+// expose; the clone-then-fold aggregations (mergeViewsTyped, mergeGen) are
+// generic over it so each is written once.
+type mergeable[T any] interface {
+	Merge(T) error
+	Clone() T
+	TotalDistinct() float64
+}
+
+// mergeViewsTyped merges frozen FreeBS or FreeRS shard views: clone the
+// first, fold the rest in.
+func mergeViewsTyped[T mergeable[T]](views []AnytimeEstimator) (float64, error) {
 	var combined T
 	for i, e := range views {
-		est, ok := cast(e)
+		est, ok := e.(T)
 		if !ok {
 			return 0, fmt.Errorf("streamcard: shard %d is not %T: %w", i, combined, ErrIncompatible)
 		}
@@ -466,7 +350,7 @@ func mergeViewsTyped[T mergeable[T]](views []Estimator, cast func(Estimator) (T,
 // mergeWindowedViews folds frozen windowed shard views generation by
 // generation into a private clone of the first (foldFrom: no per-fold
 // atomicity cost — on error the accumulator is discarded whole).
-func mergeWindowedViews(views []Estimator) (float64, error) {
+func mergeWindowedViews(views []AnytimeEstimator) (float64, error) {
 	var combined *Windowed
 	for i, e := range views {
 		w, ok := e.(*Windowed)

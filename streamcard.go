@@ -107,10 +107,12 @@ type AnytimeEstimator interface {
 // before its first post-snapshot write, so a long enumeration or a slow
 // checkpoint never holds the sketch locks.
 //
-// FreeBS, FreeRS, and Windowed over either implement it (Sharded publishes
-// whole snapshot sets through its own Snapshot method). A Windowed over a
-// non-snapshottable underlying estimator (CSE, vHLL, per-user baselines)
-// returns nil from SnapshotView, and callers fall back to locked reads.
+// FreeBS, FreeRS, and Windowed over either implement it. Sharded accepts
+// exactly these as shards (a Windowed only if it rotates manually) and
+// publishes whole snapshot sets through its own Snapshot method; it has no
+// locked read fallback. A standalone Windowed over an underlying estimator
+// that cannot snapshot (CSE, vHLL, per-user baselines) returns nil from
+// SnapshotView, and its reads fall back to the ring lock.
 type Snapshotter interface {
 	Estimator
 	// SnapshotView returns a frozen read-only view of the current state, or

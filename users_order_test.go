@@ -74,19 +74,27 @@ func TestUsersSortedAndRangeUsersAgree(t *testing.T) {
 }
 
 // TestUsersDeterministicAcrossTwins: two identically configured stacks fed
-// the same stream enumerate users in exactly the same order with exactly
-// the same estimates — the reproducibility /users consumers rely on.
+// the same stream, and rotated at the same stream positions, enumerate
+// users in exactly the same order with exactly the same estimates — the
+// reproducibility /users consumers rely on.
 func TestUsersDeterministicAcrossTwins(t *testing.T) {
 	edges := randomEdges(91, 30000, 400, 2500)
-	build := func() AnytimeEstimator {
+	build := func() *Sharded {
 		return NewSharded(4, func(int) Estimator {
 			return NewWindowed(func() Estimator { return NewFreeRS(1<<17, WithSeed(5)) },
-				WithGenerations(3), WithRotateEveryEdges(7000))
+				WithGenerations(3))
 		})
 	}
 	a, b := build(), build()
-	a.ObserveBatch(edges)
-	b.ObserveBatch(edges)
+	for lo := 0; lo < len(edges); lo += 7000 {
+		if lo > 0 {
+			a.Rotate()
+			b.Rotate()
+		}
+		chunk := edges[lo:min(lo+7000, len(edges))]
+		a.ObserveBatch(chunk)
+		b.ObserveBatch(chunk)
+	}
 	orderA, sumsA := collectUsers(a)
 	orderB, sumsB := collectUsers(b)
 	if !slices.Equal(orderA, orderB) {

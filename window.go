@@ -35,7 +35,8 @@ import (
 // batch: an ObserveBatch is attributed wholly to the epoch current when the
 // call starts. Windowed is therefore safe for concurrent use; for multi-core
 // scaling wrap it per shard — Sharded(Windowed(...)) — and advance all
-// shards together with Sharded.Rotate.
+// shards together with Sharded.Rotate (Sharded accepts only manually
+// rotated windows).
 //
 // The write path is the only lock domain: when the underlying estimator is
 // FreeBS or FreeRS, every read (Estimate, TotalDistinct, Users, NumUsers,
@@ -110,13 +111,15 @@ func WithGenerations(k int) WindowedOption {
 // WithRotateEveryEdges rotates automatically once an epoch has absorbed n
 // edges — the volume-driven policy. A batch that crosses the boundary is
 // attributed wholly to the epoch it started in; rotation happens after it.
+// A window rotating itself cannot be a Sharded shard (NewSharded panics).
 func WithRotateEveryEdges(n uint64) WindowedOption {
 	return func(c *windowedConfig) { c.boundary = window.ByEdges{N: n} }
 }
 
 // WithRotateEvery rotates automatically once an epoch is d old — the
 // wall-time policy. The boundary is checked on every observation; call Tick
-// from a timer so epochs also end during traffic lulls.
+// from a timer so epochs also end during traffic lulls. Like
+// WithRotateEveryEdges, it makes the window unusable as a Sharded shard.
 func WithRotateEvery(d time.Duration) WindowedOption {
 	return func(c *windowedConfig) { c.boundary = window.ByDuration{D: d} }
 }
@@ -570,8 +573,8 @@ func (w *Windowed) Merge(other *Windowed) error {
 // clone-of-every-generation per fold, which on a k-generation window would
 // copy the accumulator k times per shard. Same compatibility rules as
 // Merge: equal generation counts, equal epochs, mergeable generations
-// built with identical parameters. other must be quiescent (the caller
-// holds its shard lock); w must be private to the caller.
+// built with identical parameters. other must be quiescent (a frozen shard
+// view); w must be private to the caller.
 func (w *Windowed) foldFrom(other *Windowed) error {
 	if w.Generations() != other.Generations() {
 		return fmt.Errorf("streamcard: windows with k=%d vs k=%d: %w",
@@ -621,8 +624,8 @@ func mergeGeneration(mine, theirs Estimator) (Estimator, error) {
 }
 
 // mergeGen clones m and folds the matching-typed theirs into the clone — the
-// same clone-then-fold shape as Sharded's mergeShards, written once over the
-// shared mergeable constraint.
+// same clone-then-fold shape as the sharded read path's mergeViewsTyped,
+// written once over the shared mergeable constraint.
 func mergeGen[T interface {
 	Estimator
 	mergeable[T]
