@@ -16,8 +16,7 @@
 //	-methods s   comma-separated subset of: FreeBS,FreeRS,CSE,vHLL,LPC,HLL++
 //	-csv         emit CSV instead of aligned text
 //
-// Each experiment prints the same rows/series the paper reports; see
-// EXPERIMENTS.md for the paper-vs-measured record.
+// Each experiment prints the same rows/series the paper reports.
 package main
 
 import (

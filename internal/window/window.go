@@ -5,68 +5,12 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
-
-// Clock is a pluggable time source. Production rings use time.Now; tests
-// substitute a fake so duration-driven epochs are deterministic.
-type Clock func() time.Time
-
-// Boundary decides when the current epoch ends. End is consulted under the
-// ring lock after every Feed and on every Tick; now is the ring's Clock,
-// passed as a function so edge-driven policies never pay for a time lookup
-// on the ingest hot path.
-type Boundary interface {
-	// End reports whether the epoch that started at start and has absorbed
-	// edges edges has ended.
-	End(edges uint64, start time.Time, now Clock) bool
-}
-
-// Manual never ends an epoch on its own: rotation happens only through an
-// explicit Rotate call. This is the default policy.
-type Manual struct{}
-
-// End implements Boundary.
-func (Manual) End(uint64, time.Time, Clock) bool { return false }
-
-// ByEdges ends an epoch once it has absorbed at least N edges — the policy
-// for streams where "recent" is most naturally measured in traffic volume.
-type ByEdges struct{ N uint64 }
-
-// End implements Boundary.
-func (b ByEdges) End(edges uint64, _ time.Time, _ Clock) bool {
-	return b.N > 0 && edges >= b.N
-}
-
-// ByDuration ends an epoch after D of time per the ring's Clock — the
-// wall-time policy of a deployed monitor ("cardinalities over the last five
-// minutes"). Pair it with a periodic Tick so epochs also end while no edges
-// arrive.
-type ByDuration struct{ D time.Duration }
-
-// End implements Boundary.
-func (b ByDuration) End(_ uint64, start time.Time, now Clock) bool {
-	return b.D > 0 && now().Sub(start) >= b.D
-}
-
-// Option configures a Ring.
-type Option func(*config)
-
-type config struct {
-	boundary Boundary
-	clock    Clock
-}
-
-// WithBoundary sets the epoch-boundary policy (default Manual).
-func WithBoundary(b Boundary) Option { return func(c *config) { c.boundary = b } }
-
-// WithClock sets the ring's time source (default time.Now).
-func WithClock(now Clock) Option { return func(c *config) { c.clock = now } }
 
 // Ring holds up to k live generations of E, newest first. All access runs
 // under one mutex, which is what makes rotation safe to interleave with
 // batched ingestion: a Feed call is attributed wholly to the epoch current
-// at its start, and a concurrent Rotate or Tick waits for it.
+// at its start, and a concurrent Rotate waits for it.
 type Ring[E any] struct {
 	mu       sync.Mutex
 	build    func() E
@@ -74,9 +18,7 @@ type Ring[E any] struct {
 	k        int
 	epoch    uint64 // rotations performed so far
 	edges    uint64 // edges attributed to the current epoch
-	start    time.Time
-	clock    Clock
-	boundary Boundary
+	every    uint64 // Feed rotates once edges reaches every; 0 = only Rotate does
 	onRetire func(E)
 
 	// ver counts state changes (feeds, rotations, adoptions). It is bumped
@@ -87,28 +29,19 @@ type Ring[E any] struct {
 }
 
 // New returns a ring of k generations (k >= 2); build must return a fresh,
-// non-nil generation and is called once now and once per rotation. It panics
-// if k < 2 or build is nil or returns nil.
-func New[E any](k int, build func() E, opts ...Option) *Ring[E] {
+// non-nil generation and is called once now and once per rotation. A Feed
+// that brings the current epoch to every edges rotates the ring; every == 0
+// leaves rotation to explicit Rotate calls. It panics if k < 2 or build is
+// nil or returns nil.
+func New[E any](k int, build func() E, every uint64) *Ring[E] {
 	if k < 2 {
 		panic(fmt.Sprintf("window: need at least 2 generations, got %d", k))
 	}
 	if build == nil {
 		panic("window: New requires a build function")
 	}
-	cfg := config{boundary: Manual{}, clock: time.Now}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	r := &Ring[E]{
-		build:    build,
-		gens:     make([]E, 1, k),
-		k:        k,
-		clock:    cfg.clock,
-		boundary: cfg.boundary,
-	}
+	r := &Ring[E]{build: build, gens: make([]E, 1, k), k: k, every: every}
 	r.gens[0] = mustBuild(build)
-	r.start = r.clock()
 	return r
 }
 
@@ -117,24 +50,15 @@ func New[E any](k int, build func() E, opts ...Option) *Ring[E] {
 // throwaway initial generation — the constructor behind O(1) snapshot views
 // and restores, which already hold the generations they want live. The same
 // invariants as Adopt apply (live == min(epoch+1, k), no nil generations);
-// build is kept for later rotations.
-func NewAdopted[E any](k int, build func() E, gens []E, epoch, edges uint64, opts ...Option) (*Ring[E], error) {
+// build and every are kept for later rotations, as in New.
+func NewAdopted[E any](k int, build func() E, gens []E, epoch, edges, every uint64) (*Ring[E], error) {
 	if k < 2 {
 		panic(fmt.Sprintf("window: need at least 2 generations, got %d", k))
 	}
 	if build == nil {
 		panic("window: NewAdopted requires a build function")
 	}
-	cfg := config{boundary: Manual{}, clock: time.Now}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	r := &Ring[E]{
-		build:    build,
-		k:        k,
-		clock:    cfg.clock,
-		boundary: cfg.boundary,
-	}
+	r := &Ring[E]{build: build, k: k, every: every}
 	if err := r.adoptLocked(gens, epoch, edges); err != nil {
 		return nil, err
 	}
@@ -153,14 +77,12 @@ func mustBuild[E any](build func() E) E {
 // rotation evicts it — after it has stopped being live but before the new
 // epoch opens, under the ring lock, so fn observes the retired generation's
 // final state exactly once and no Feed can interleave. fn runs on whichever
-// goroutine triggered the rotation (an explicit Rotate, a Tick, or a Feed
-// that crossed an automatic boundary) and must be fast and must not call
-// back into the ring (the lock is not reentrant). Rotations before the ring
-// is full do not retire anything (the ring grows instead), and Adopt
-// replaces generations without retiring them — the hook reports aged-out
-// history, not every discarded pointer. Passing nil removes the hook; it is
-// a setter rather than an Option because the callback's signature depends
-// on the ring's type parameter.
+// goroutine triggered the rotation (an explicit Rotate or a Feed that
+// reached the edge count) and must be fast and must not call back into the
+// ring (the lock is not reentrant). Rotations before the ring is full do
+// not retire anything (the ring grows instead), and Adopt replaces
+// generations without retiring them — the hook reports aged-out history,
+// not every discarded pointer. Passing nil removes the hook.
 func (r *Ring[E]) OnRetire(fn func(E)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -193,8 +115,8 @@ func (r *Ring[E]) EdgesInEpoch() uint64 {
 }
 
 // Feed runs fn on the current generation, attributes n more edges to the
-// current epoch, then consults the boundary and rotates at most once if the
-// epoch has ended. The entire call holds the ring lock, so a batch is never
+// current epoch, then rotates at most once if the epoch has reached the
+// ring's edge count. The entire call holds the ring lock, so a batch is never
 // torn across generations: its edges all land in the generation that was
 // current when Feed began, and any boundary it crosses takes effect only
 // after the batch is fully absorbed.
@@ -204,7 +126,7 @@ func (r *Ring[E]) Feed(n uint64, fn func(current E)) {
 	fn(r.gens[0])
 	r.edges += n
 	r.ver.Add(1)
-	if r.boundary.End(r.edges, r.start, r.clock) {
+	if r.every > 0 && r.edges >= r.every {
 		r.rotateLocked()
 	}
 }
@@ -253,19 +175,6 @@ func (r *Ring[E]) Rotate() uint64 {
 	return r.epoch
 }
 
-// Tick consults the boundary without feeding any edges and reports whether
-// it rotated — the hook a timer goroutine calls so duration-driven epochs
-// also end during traffic lulls.
-func (r *Ring[E]) Tick() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.boundary.End(r.edges, r.start, r.clock) {
-		return false
-	}
-	r.rotateLocked()
-	return true
-}
-
 func (r *Ring[E]) rotateLocked() {
 	g := mustBuild(r.build)
 	if len(r.gens) < r.k {
@@ -278,17 +187,13 @@ func (r *Ring[E]) rotateLocked() {
 	r.gens[0] = g
 	r.epoch++
 	r.edges = 0
-	r.start = r.clock()
 	r.ver.Add(1)
 }
 
 // Adopt replaces the ring's live generations (newest first), epoch, and
 // edges-in-epoch counter — the restore path of checkpointing, cloning, and
 // merging. It enforces the ring invariant live == min(epoch+1, k) and
-// rejects nil generations; on error the ring is unchanged. The epoch's start
-// time restarts at the clock's now: wall-time boundaries measure from the
-// restore, since the original start instant is not meaningful across a
-// process restart.
+// rejects nil generations; on error the ring is unchanged.
 func (r *Ring[E]) Adopt(gens []E, epoch, edges uint64) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -312,7 +217,6 @@ func (r *Ring[E]) adoptLocked(gens []E, epoch, edges uint64) error {
 	r.gens = append(r.gens[:0:0], gens...)
 	r.epoch = epoch
 	r.edges = edges
-	r.start = r.clock()
 	r.ver.Add(1)
 	return nil
 }

@@ -3,14 +3,13 @@ package window
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
 // gen is a minimal generation type: it records how many edges it absorbed.
 type gen struct{ edges int }
 
-func newRing(k int, opts ...Option) *Ring[*gen] {
-	return New(k, func() *gen { return &gen{} }, opts...)
+func newRing(k int, every uint64) *Ring[*gen] {
+	return New(k, func() *gen { return &gen{} }, every)
 }
 
 func feed(r *Ring[*gen], n int) {
@@ -28,7 +27,7 @@ func liveEdges(r *Ring[*gen]) []int {
 }
 
 func TestRingGrowsToKThenDrops(t *testing.T) {
-	r := newRing(3)
+	r := newRing(3, 0)
 	if r.K() != 3 || r.Live() != 1 || r.Epoch() != 0 {
 		t.Fatalf("fresh ring k=%d live=%d epoch=%d", r.K(), r.Live(), r.Epoch())
 	}
@@ -50,7 +49,7 @@ func TestRingGrowsToKThenDrops(t *testing.T) {
 }
 
 func TestRingByEdgesBoundary(t *testing.T) {
-	r := newRing(2, WithBoundary(ByEdges{N: 10}))
+	r := newRing(2, 10)
 	feed(r, 9)
 	if r.Epoch() != 0 {
 		t.Fatal("rotated early")
@@ -70,39 +69,16 @@ func TestRingByEdgesBoundary(t *testing.T) {
 	}
 }
 
-func TestRingByDurationBoundaryAndTick(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	r := newRing(2, WithBoundary(ByDuration{D: time.Minute}), WithClock(clock))
-	feed(r, 5)
-	if r.Tick() {
-		t.Fatal("ticked before the epoch elapsed")
-	}
-	now = now.Add(time.Minute)
-	if !r.Tick() {
-		t.Fatal("tick at the boundary must rotate")
-	}
-	if r.Epoch() != 1 {
-		t.Fatalf("epoch = %d", r.Epoch())
-	}
-	// Feeding also notices an elapsed duration, without a Tick.
-	now = now.Add(2 * time.Minute)
-	feed(r, 1)
-	if r.Epoch() != 2 {
-		t.Fatalf("epoch = %d after feeding past the boundary", r.Epoch())
-	}
-}
-
 func TestRingManualNeverRotates(t *testing.T) {
-	r := newRing(2)
+	r := newRing(2, 0)
 	feed(r, 1_000_000)
-	if r.Tick() || r.Epoch() != 0 {
+	if r.Epoch() != 0 {
 		t.Fatal("manual ring rotated on its own")
 	}
 }
 
 func TestRingSnapshotAndAdopt(t *testing.T) {
-	r := newRing(3)
+	r := newRing(3, 0)
 	feed(r, 7)
 	r.Rotate()
 	feed(r, 8)
@@ -116,7 +92,7 @@ func TestRingSnapshotAndAdopt(t *testing.T) {
 		t.Fatal("snapshot aliased the ring's slice")
 	}
 
-	fresh := newRing(3)
+	fresh := newRing(3, 0)
 	if err := fresh.Adopt(gens, epoch, inEpoch); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +110,7 @@ func TestRingSnapshotAndAdopt(t *testing.T) {
 	if err := fresh.Adopt(gens, 5, 0); err == nil {
 		t.Fatal("2 live generations at epoch 5 of a k=3 ring accepted")
 	}
-	ifaceRing := New(3, func() any { return &gen{} })
+	ifaceRing := New(3, func() any { return &gen{} }, 0)
 	if err := ifaceRing.Adopt([]any{&gen{}, nil}, 1, 0); err == nil {
 		t.Fatal("nil generation accepted")
 	}
@@ -144,9 +120,9 @@ func TestRingSnapshotAndAdopt(t *testing.T) {
 }
 
 func TestRingPanics(t *testing.T) {
-	mustPanic(t, func() { New(1, func() *gen { return &gen{} }) })
-	mustPanic(t, func() { New[*gen](2, nil) })
-	mustPanic(t, func() { New(2, func() any { return nil }) })
+	mustPanic(t, func() { New(1, func() *gen { return &gen{} }, 0) })
+	mustPanic(t, func() { New[*gen](2, nil, 0) })
+	mustPanic(t, func() { New(2, func() any { return nil }, 0) })
 	calls := 0
 	r := New(2, func() any {
 		calls++
@@ -154,16 +130,16 @@ func TestRingPanics(t *testing.T) {
 			return nil
 		}
 		return &gen{}
-	})
+	}, 0)
 	mustPanic(t, func() { r.Rotate() })
 }
 
-// TestRingFeedRotateRace is the -race guard for the tentpole: batches,
-// rotations, ticks, and views interleave from many goroutines, and the
+// TestRingFeedRotateRace is the -race guard for the ring lock: batches,
+// rotations, and views interleave from many goroutines, and the
 // per-generation edge totals must still add up exactly — a torn batch or a
 // lost update would break the sum.
 func TestRingFeedRotateRace(t *testing.T) {
-	r := newRing(4, WithBoundary(ByEdges{N: 500}))
+	r := newRing(4, 500)
 	const workers, perWorker, batch = 8, 300, 7
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -172,9 +148,6 @@ func TestRingFeedRotateRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				feed(r, batch)
-				if i%50 == 0 {
-					r.Tick()
-				}
 				if i%97 == 0 {
 					r.View(func(live []*gen) {
 						for _, g := range live {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/hashing"
 	"repro/internal/stream"
-	"repro/internal/window"
 )
 
 // Sharded makes the paper's estimators safe for concurrent use and scalable
@@ -79,8 +78,8 @@ type shard struct {
 // a fresh estimator for shard i (use distinct seeds per shard for hash
 // independence). It panics if n <= 0, build returns nil, or a shard is not
 // a FreeBS, a FreeRS, or a Windowed over either that rotates only when told
-// to (no WithRotateEveryEdges or WithRotateEvery): the read path serves
-// only snapshots, and Sharded.Rotate must be the one place epochs advance.
+// to (no WithRotateEveryEdges): the read path serves only snapshots, and
+// Sharded.Rotate must be the one place epochs advance.
 // The shards belong to the Sharded after construction: observing into,
 // rotating, or restoring one directly bypasses the version stamps the
 // published snapshots are checked against.
@@ -111,16 +110,15 @@ func NewSharded(n int, build func(shard int) Estimator) *Sharded {
 }
 
 // estSnapshottable is NewSharded's shard check: FreeBS, FreeRS, or a
-// Windowed over either whose epochs advance only through Rotate
-// (window.Manual) — every shard then snapshots in O(1), and Sharded.Rotate
-// is the only place shard epochs move.
+// Windowed (always over one of them) whose epochs advance only through
+// Rotate — every shard then snapshots in O(1), and Sharded.Rotate is the
+// only place shard epochs move.
 func estSnapshottable(e Estimator) bool {
 	switch t := e.(type) {
 	case *FreeBS, *FreeRS:
 		return true
 	case *Windowed:
-		_, manual := t.cfg.boundary.(window.Manual)
-		return t.canSnap && manual
+		return t.cfg.every == 0
 	}
 	return false
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/exact"
 	"repro/internal/hashing"
@@ -122,9 +121,6 @@ func TestShardedPanics(t *testing.T) {
 		"Windowed(CSE)": func() Estimator { return NewWindowed(func() Estimator { return NewCSE(1<<12, 64) }) },
 		"Windowed+RotateEveryEdges": func() Estimator {
 			return NewWindowed(freeRS, WithRotateEveryEdges(100))
-		},
-		"Windowed+RotateEvery": func() Estimator {
-			return NewWindowed(freeRS, WithRotateEvery(time.Second))
 		},
 	} {
 		t.Run(name, func(t *testing.T) {

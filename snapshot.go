@@ -321,8 +321,8 @@ func mergeEstimators(views []AnytimeEstimator) (float64, error) {
 }
 
 // mergeable is the self-referential merge surface both FreeBS and FreeRS
-// expose; the clone-then-fold aggregations (mergeViewsTyped, mergeGen) are
-// generic over it so each is written once.
+// expose; mergeViewsTyped, the clone-then-fold aggregation over plain
+// shards, is generic over it so it is written once.
 type mergeable[T any] interface {
 	Merge(T) error
 	Clone() T

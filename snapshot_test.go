@@ -296,17 +296,3 @@ func TestShardedSnapshotDistinctSeeds(t *testing.T) {
 		t.Fatal("view lost the observation")
 	}
 }
-
-// TestUnsnapshottableFallback: a standalone Windowed over an estimator
-// without snapshot support keeps the locked read path — Snapshot reports
-// nil, queries still work.
-func TestUnsnapshottableFallback(t *testing.T) {
-	w := NewWindowed(func() Estimator { return NewCSE(1<<14, 256) })
-	if w.Snapshot() != nil {
-		t.Fatal("Windowed over CSE must not claim snapshot support")
-	}
-	w.Observe(5, 6)
-	if w.Estimate(5) <= 0 {
-		t.Fatal("windowed locked fallback Estimate broken")
-	}
-}

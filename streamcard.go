@@ -107,19 +107,18 @@ type AnytimeEstimator interface {
 // before its first post-snapshot write, so a long enumeration or a slow
 // checkpoint never holds the sketch locks.
 //
-// FreeBS, FreeRS, and Windowed over either implement it. Sharded accepts
-// exactly these as shards (a Windowed only if it rotates manually) and
-// publishes whole snapshot sets through its own Snapshot method; it has no
-// locked read fallback. A standalone Windowed over an underlying estimator
-// that cannot snapshot (CSE, vHLL, per-user baselines) returns nil from
-// SnapshotView, and its reads fall back to the ring lock.
+// FreeBS, FreeRS, and Windowed (whose generations are always one of the
+// two) implement it. Sharded accepts exactly these as shards (a Windowed
+// only if it rotates manually) and publishes whole snapshot sets through
+// its own Snapshot method. No read path falls back to a lock: CSE, vHLL
+// and the per-user baselines cannot snapshot, so neither Sharded nor
+// Windowed accepts them.
 type Snapshotter interface {
 	Estimator
-	// SnapshotView returns a frozen read-only view of the current state, or
-	// nil if the estimator's composition cannot produce one. The call must
-	// be serialized with writers (it is O(1), so callers take it under the
-	// same lock that guards Observe); reads of the returned view are then
-	// lock-free.
+	// SnapshotView returns a frozen read-only view of the current state,
+	// never nil. The call must be serialized with writers (it is O(1), so
+	// callers take it under the same lock that guards Observe); reads of
+	// the returned view are then lock-free.
 	SnapshotView() Estimator
 }
 

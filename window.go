@@ -5,22 +5,21 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/usertab"
 	"repro/internal/window"
 )
 
-// Windowed adapts any Estimator to approximate cardinalities over the recent
-// past instead of the whole stream — the practical need behind the paper's
-// future-work note on monitoring anomalies continuously (a scanner from last
-// week should not keep a host flagged today).
+// Windowed turns FreeBS or FreeRS into an estimator of cardinalities over
+// the recent past instead of the whole stream — the practical need behind
+// the paper's future-work note on monitoring anomalies continuously (a
+// scanner from last week should not keep a host flagged today).
 //
 // It uses k-generation epoch rotation, the standard windowing scheme for
-// sketches that do not support deletion: k generations of the underlying
-// estimator are kept live, every edge feeds the newest, and each epoch
-// boundary discards the oldest and starts a fresh one. Queries sum the live
+// sketches that do not support deletion: k generations of the sketch are
+// kept live, every edge feeds the newest, and each epoch boundary discards
+// the oldest and starts a fresh one. Queries sum the live
 // generations, so an estimate covers between k−1 and k epochs of history —
 // size epochs so that k−1 of them span the window you care about, and the
 // slop (extra history, and double counting of pairs re-observed across
@@ -28,40 +27,34 @@ import (
 // shrinking as k buys finer-grained aging at k× the memory. Within one
 // generation duplicates are still free.
 //
-// Epoch boundaries are pluggable: rotate explicitly (Rotate), by traffic
-// volume (WithRotateEveryEdges), or by wall time (WithRotateEvery, checked
-// on every observation and on Tick for timer goroutines). All mutation and
-// rotation run under one internal lock, so a rotation can never tear a
-// batch: an ObserveBatch is attributed wholly to the epoch current when the
-// call starts. Windowed is therefore safe for concurrent use; for multi-core
-// scaling wrap it per shard — Sharded(Windowed(...)) — and advance all
-// shards together with Sharded.Rotate (Sharded accepts only manually
-// rotated windows).
+// An epoch ends when Rotate is called or, under WithRotateEveryEdges, once
+// it has absorbed a fixed number of edges. Wall-time epochs are a timer
+// calling Rotate (cardserved's -epoch does exactly that through
+// Sharded.Rotate). All mutation and rotation run under one internal lock,
+// so a rotation can never tear a batch: an ObserveBatch is attributed
+// wholly to the epoch current when the call starts. Windowed is therefore
+// safe for concurrent use; for multi-core scaling wrap it per shard —
+// Sharded(Windowed(...)) — and advance all shards together with
+// Sharded.Rotate (Sharded accepts only manually rotated windows).
 //
-// The write path is the only lock domain: when the underlying estimator is
-// FreeBS or FreeRS, every read (Estimate, TotalDistinct, Users, NumUsers,
-// TopK over the window) is served from an atomically published snapshot —
-// all live generations forked copy-on-write, logically frozen as one
-// consistent (generations, epoch) cut — so a long user enumeration never
-// holds the ring lock, and a rotation publishes the next epoch's snapshot
-// set instead of quiescing readers. See Snapshot for the mechanism and the
+// The write path is the only lock domain: every read (Estimate,
+// TotalDistinct, Users, NumUsers, TopK over the window) is served from an
+// atomically published snapshot — all live generations forked
+// copy-on-write, logically frozen as one consistent (generations, epoch)
+// cut — so a long user enumeration never holds the ring lock, and a
+// rotation publishes the next epoch's snapshot set instead of quiescing
+// readers. See Snapshot for the mechanism and the
 // freshness contract.
 //
-// When the underlying estimator is FreeBS or FreeRS, Windowed additionally
-// supports Users/NumUsers (so TopK and SpreaderDetector run on windows),
-// generation-wise Merge/Clone, and MarshalBinary/UnmarshalBinary
+// Windowed also supports Users/NumUsers (so TopK and SpreaderDetector run on
+// windows), generation-wise Merge/Clone, and MarshalBinary/UnmarshalBinary
 // checkpointing of all live generations plus the epoch bookkeeping.
 type Windowed struct {
-	build func() Estimator // nil-checked wrapper around the user's build
+	build func() Estimator // type-checked wrapper around the user's build
 	ring  *window.Ring[Estimator]
 	cfg   windowedConfig
 	name  string
 
-	// canSnap reports whether the generations support O(1) copy-on-write
-	// snapshots (FreeBS/FreeRS). When true, every read routes through the
-	// published snapshot below instead of holding the ring lock for the
-	// duration of the read.
-	canSnap bool
 	// pub is the published snapshot: a frozen *Windowed stamped with the
 	// ring version it was taken at. Readers reuse it while the stamp still
 	// matches ring.Version() (one atomic load, no lock) and refresh it —
@@ -92,8 +85,7 @@ type windowedPub struct {
 
 type windowedConfig struct {
 	k         int
-	boundary  window.Boundary
-	clock     window.Clock
+	every     uint64 // WithRotateEveryEdges; 0 = only Rotate ends an epoch
 	onRetire  func(Estimator)
 	foldStats *FoldStats
 }
@@ -113,22 +105,7 @@ func WithGenerations(k int) WindowedOption {
 // attributed wholly to the epoch it started in; rotation happens after it.
 // A window rotating itself cannot be a Sharded shard (NewSharded panics).
 func WithRotateEveryEdges(n uint64) WindowedOption {
-	return func(c *windowedConfig) { c.boundary = window.ByEdges{N: n} }
-}
-
-// WithRotateEvery rotates automatically once an epoch is d old — the
-// wall-time policy. The boundary is checked on every observation; call Tick
-// from a timer so epochs also end during traffic lulls. Like
-// WithRotateEveryEdges, it makes the window unusable as a Sharded shard.
-func WithRotateEvery(d time.Duration) WindowedOption {
-	return func(c *windowedConfig) { c.boundary = window.ByDuration{D: d} }
-}
-
-// WithWindowClock substitutes the time source used by WithRotateEvery
-// (default time.Now); tests use it to drive wall-time epochs
-// deterministically.
-func WithWindowClock(now func() time.Time) WindowedOption {
-	return func(c *windowedConfig) { c.clock = now }
+	return func(c *windowedConfig) { c.every = n }
 }
 
 // WithOnRetire registers fn to be called with each generation the moment a
@@ -155,8 +132,9 @@ func WithFoldStats(st *FoldStats) WindowedOption {
 	return func(c *windowedConfig) { c.foldStats = st }
 }
 
-// NewWindowed returns a windowed wrapper; build must return a fresh
-// estimator (it is called on construction and at every rotation). Example:
+// NewWindowed returns a windowed wrapper; build must return a fresh FreeBS
+// or FreeRS (it is called on construction and at every rotation, and any
+// other estimator, or nil, panics there). Example:
 //
 //	w := streamcard.NewWindowed(func() streamcard.Estimator {
 //	    return streamcard.NewFreeRS(1 << 22)
@@ -165,7 +143,7 @@ func NewWindowed(build func() Estimator, opts ...WindowedOption) *Windowed {
 	if build == nil {
 		panic("streamcard: NewWindowed requires a build function")
 	}
-	cfg := windowedConfig{k: 2, boundary: window.Manual{}, clock: time.Now}
+	cfg := windowedConfig{k: 2}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -173,59 +151,38 @@ func NewWindowed(build func() Estimator, opts ...WindowedOption) *Windowed {
 }
 
 func newWindowed(build func() Estimator, cfg windowedConfig) *Windowed {
+	// Checked on every build, not just the first: a generation that cannot
+	// snapshot, clone or checkpoint must not enter the ring at a rotation.
 	wrapped := func() Estimator {
 		e := build()
-		if e == nil {
+		switch e.(type) {
+		case *FreeBS, *FreeRS:
+			return e
+		case nil:
 			panic("streamcard: build returned nil estimator")
 		}
-		return e
+		panic(fmt.Sprintf("streamcard: NewWindowed needs FreeBS or FreeRS generations, not %s", e.Name()))
 	}
 	w := &Windowed{build: wrapped, cfg: cfg}
-	w.ring = window.New(cfg.k, wrapped,
-		window.WithBoundary(cfg.boundary), window.WithClock(cfg.clock))
+	w.ring = window.New(cfg.k, wrapped, cfg.every)
 	if cfg.onRetire != nil {
 		w.ring.OnRetire(cfg.onRetire)
 	}
 	w.ring.View(func(live []Estimator) {
 		w.name = fmt.Sprintf("Windowed(%s,k=%d)", live[0].Name(), cfg.k)
-		w.canSnap = genSnapshottable(live[0])
 	})
 	return w
-}
-
-// genSnapshottable reports whether a generation supports O(1) copy-on-write
-// snapshots, without taking one (marking a fresh generation shared would
-// make its first write pay a pointless full-array copy).
-func genSnapshottable(e Estimator) bool {
-	switch e.(type) {
-	case *FreeBS, *FreeRS:
-		return true
-	}
-	return false
-}
-
-// snapshotGen forks one generation copy-on-write. Callers have checked
-// genSnapshottable.
-func snapshotGen(e Estimator) Estimator {
-	switch g := e.(type) {
-	case *FreeBS:
-		return g.Snapshot()
-	case *FreeRS:
-		return g.Snapshot()
-	}
-	panic(fmt.Sprintf("streamcard: %s generations do not support Snapshot", e.Name()))
 }
 
 // adoptWindowed assembles a Windowed directly around existing generations —
 // no throwaway initial generation is built — at the given epoch
 // bookkeeping. It is the constructor behind Snapshot and Clone.
 func adoptWindowed(build func() Estimator, cfg windowedConfig, name string, gens []Estimator, epoch, edges uint64) (*Windowed, error) {
-	ring, err := window.NewAdopted(cfg.k, build, gens, epoch, edges,
-		window.WithBoundary(cfg.boundary), window.WithClock(cfg.clock))
+	ring, err := window.NewAdopted(cfg.k, build, gens, epoch, edges, cfg.every)
 	if err != nil {
 		return nil, err
 	}
-	w := &Windowed{build: build, ring: ring, cfg: cfg, name: name, canSnap: true}
+	w := &Windowed{build: build, ring: ring, cfg: cfg, name: name}
 	if cfg.onRetire != nil {
 		ring.OnRetire(cfg.onRetire)
 	}
@@ -233,14 +190,13 @@ func adoptWindowed(build func() Estimator, cfg windowedConfig, name string, gens
 }
 
 // Snapshot returns an O(1), logically frozen view of the whole window — all
-// live generations forked copy-on-write, plus the epoch bookkeeping — or
-// nil when the underlying estimator does not support snapshots (CSE, vHLL,
-// per-user baselines). The view is itself a *Windowed, so every read
-// surface (Estimate, TotalDistinct, Users, TopK, MarshalBinary, Merge
-// sources) works on it unchanged, with no synchronization against ongoing
-// ingestion: the writer detaches onto private arrays before its first
-// post-snapshot write, and old generations are never written at all, so
-// only the current generation's arrays are ever re-copied.
+// live generations forked copy-on-write, plus the epoch bookkeeping. The
+// view is itself a *Windowed, so every read surface (Estimate,
+// TotalDistinct, Users, TopK, MarshalBinary, Merge sources) works on it
+// unchanged, with no synchronization against ongoing ingestion: the writer
+// detaches onto private arrays before its first post-snapshot write, and
+// old generations are never written at all, so only the current
+// generation's arrays are ever re-copied.
 //
 // Snapshots are published: while no write has advanced the ring, repeated
 // calls return the same view via one atomic load, and a view taken after a
@@ -257,9 +213,6 @@ func adoptWindowed(build func() Estimator, cfg windowedConfig, name string, gens
 // the shard lock, so the ring is uncontended — and publishes the result, so
 // serving-path readers never pay the refresh (see snapshot.go).
 func (w *Windowed) Snapshot() *Windowed {
-	if !w.canSnap {
-		return nil
-	}
 	if p := w.pub.Load(); p != nil && p.ver == w.ring.Version() {
 		return p.win
 	}
@@ -277,7 +230,7 @@ func (w *Windowed) Snapshot() *Windowed {
 		}
 		snaps := make([]Estimator, len(gens))
 		for i, g := range gens {
-			snaps[i] = snapshotGen(g)
+			snaps[i] = g.(Snapshotter).SnapshotView()
 		}
 		ver = v
 		frozen, err = adoptWindowed(w.build, w.cfg, w.name, snaps, epoch, edges)
@@ -300,12 +253,7 @@ func (w *Windowed) Snapshot() *Windowed {
 }
 
 // SnapshotView implements Snapshotter.
-func (w *Windowed) SnapshotView() Estimator {
-	if v := w.Snapshot(); v != nil {
-		return v
-	}
-	return nil
-}
+func (w *Windowed) SnapshotView() Estimator { return w.Snapshot() }
 
 // Observe implements Estimator (feeds the newest generation).
 func (w *Windowed) Observe(user, item uint64) {
@@ -314,8 +262,8 @@ func (w *Windowed) Observe(user, item uint64) {
 
 // ObserveBatch implements Estimator. The batch is attributed to the epoch
 // current when the call starts: the ring lock holds off any concurrent
-// Rotate or Tick until the whole batch has been absorbed, and an automatic
-// boundary the batch crosses takes effect only after it.
+// Rotate until the whole batch has been absorbed, and a WithRotateEveryEdges
+// rotation the batch triggers takes effect only after it.
 func (w *Windowed) ObserveBatch(edges []Edge) {
 	if len(edges) == 0 {
 		return
@@ -323,12 +271,12 @@ func (w *Windowed) ObserveBatch(edges []Edge) {
 	w.ring.Feed(uint64(len(edges)), func(e Estimator) { e.ObserveBatch(edges) })
 }
 
-// Estimate implements Estimator: the sum over live generations. When the
-// underlying estimator supports snapshots, the sum is taken over the
-// published frozen view — the ring lock is held (if at all) only for the
-// O(k) snapshot refresh, never for the read itself.
+// Estimate implements Estimator: the sum over live generations, taken over
+// the published frozen view — the ring lock is held (if at all) only for
+// the O(k) snapshot refresh, never for the read itself. A view is its own
+// snapshot and sums its generations directly.
 func (w *Windowed) Estimate(user uint64) float64 {
-	if v := w.Snapshot(); v != nil && v != w {
+	if v := w.Snapshot(); v != w {
 		return v.Estimate(user)
 	}
 	sum := 0.0
@@ -343,7 +291,7 @@ func (w *Windowed) Estimate(user uint64) float64 {
 // TotalDistinct implements Estimator (same windowed semantics and the same
 // snapshot routing as Estimate).
 func (w *Windowed) TotalDistinct() float64 {
-	if v := w.Snapshot(); v != nil && v != w {
+	if v := w.Snapshot(); v != w {
 		return v.TotalDistinct()
 	}
 	sum := 0.0
@@ -372,15 +320,8 @@ func (w *Windowed) Name() string { return w.name }
 // Rotate closes the current epoch: the oldest of k live generations is
 // discarded, every survivor ages one slot, and a fresh estimator starts
 // receiving edges. Explicit-rotation deployments call it once per epoch
-// length; automatic policies (WithRotateEveryEdges, WithRotateEvery) call it
-// internally.
+// length; WithRotateEveryEdges rotates internally.
 func (w *Windowed) Rotate() { w.ring.Rotate() }
-
-// Tick re-checks the rotation policy without observing anything and reports
-// whether it rotated. Wall-time deployments call it from a timer so epochs
-// also end while no edges arrive; under WithRotateEveryEdges or manual
-// rotation it never fires.
-func (w *Windowed) Tick() bool { return w.ring.Tick() }
 
 // Epoch returns how many rotations have happened.
 func (w *Windowed) Epoch() int { return int(w.ring.Epoch()) }
@@ -394,16 +335,13 @@ func (w *Windowed) LiveGenerations() int { return w.ring.Live() }
 
 // Users implements AnytimeEstimator: fn is called once per user with a
 // nonzero windowed estimate — the sum of that user's estimates across live
-// generations — in ascending user order. It requires the underlying
-// estimator to be an AnytimeEstimator (FreeBS or FreeRS) and panics
-// otherwise. Cost is O(users log users) time and O(users) memory (a flat
-// merge table plus its sort, since one user may appear in several
-// generations); RangeUsers skips the sort.
-// The per-user fold itself (O(users)) runs over the frozen view when
-// snapshots are available, holding no lock at all — a slow consumer of fn
-// can no longer stall ingestion.
+// generations — in ascending user order. Cost is O(users log users) time
+// and O(users) memory (a flat merge table plus its sort, since one user may
+// appear in several generations); RangeUsers skips the sort. The per-user
+// fold itself (O(users)) runs over the frozen view, holding no lock at all
+// — a slow consumer of fn can no longer stall ingestion.
 func (w *Windowed) Users(fn func(user uint64, estimate float64)) {
-	if v := w.Snapshot(); v != nil && v != w {
+	if v := w.Snapshot(); v != w {
 		v.Users(fn)
 		return
 	}
@@ -415,7 +353,7 @@ func (w *Windowed) Users(fn func(user uint64, estimate float64)) {
 // sorted). The fold across generations still costs O(users); only Users'
 // sort is skipped.
 func (w *Windowed) RangeUsers(fn func(user uint64, estimate float64)) {
-	if v := w.Snapshot(); v != nil && v != w {
+	if v := w.Snapshot(); v != w {
 		v.RangeUsers(fn)
 		return
 	}
@@ -426,7 +364,7 @@ func (w *Windowed) RangeUsers(fn func(user uint64, estimate float64)) {
 // estimate in any live generation. Costs a full O(users) generation fold;
 // UserEntries is the O(k) upper bound for cheap occupancy gauges.
 func (w *Windowed) NumUsers() int {
-	if v := w.Snapshot(); v != nil && v != w {
+	if v := w.Snapshot(); v != w {
 		return v.NumUsers()
 	}
 	return w.userSums().Len()
@@ -437,7 +375,6 @@ func (w *Windowed) NumUsers() int {
 // so this is an upper bound on NumUsers that costs O(k) map-length reads
 // instead of NumUsers' O(users) merge map. Occupancy gauges scraped every
 // few seconds want this reading; exact distinct-user counts want NumUsers.
-// Same AnytimeEstimator requirement as Users.
 // Deliberately NOT snapshot-routed: the whole point of this reading is
 // that a periodic scrape costs O(k) counter loads — forcing a snapshot
 // refresh here would make every scrape re-mark the live arrays shared and
@@ -446,11 +383,7 @@ func (w *Windowed) UserEntries() int {
 	total := 0
 	w.ring.View(func(live []Estimator) {
 		for _, g := range live {
-			a, ok := g.(AnytimeEstimator)
-			if !ok {
-				panic(fmt.Sprintf("streamcard: Windowed.UserEntries needs an AnytimeEstimator underlying (FreeBS/FreeRS), not %s", g.Name()))
-			}
-			total += a.NumUsers()
+			total += g.(AnytimeEstimator).NumUsers()
 		}
 	})
 	return total
@@ -515,11 +448,7 @@ func (w *Windowed) computeUserSums() *usertab.Table {
 	w.ring.View(func(live []Estimator) {
 		entries := 0
 		for _, g := range live {
-			a, ok := g.(AnytimeEstimator)
-			if !ok {
-				panic(fmt.Sprintf("streamcard: Windowed.Users needs an AnytimeEstimator underlying (FreeBS/FreeRS), not %s", g.Name()))
-			}
-			entries += a.NumUsers()
+			entries += g.(AnytimeEstimator).NumUsers()
 		}
 		merged = usertab.NewWithCapacity(entries)
 		for _, g := range live {
@@ -533,10 +462,12 @@ func (w *Windowed) computeUserSums() *usertab.Table {
 // generations summarizes the union of the corresponding epoch's streams;
 // other is unchanged. Both windows must have the same generation count and
 // be at the same epoch (ErrIncompatible otherwise — merging sketches of
-// different epochs would blend different time ranges), their underlying
-// estimators must be mergeable (FreeBS or FreeRS) and built with identical
-// parameters, and both should be quiescent (no concurrent ingestion) for
-// the duration of the call. On error w is unchanged.
+// different epochs would blend different time ranges), their generations
+// must be of the same sketch built with identical parameters, and both
+// should be quiescent (no concurrent ingestion) for the duration of the
+// call. On error w is unchanged. The merged current epoch has absorbed the
+// edges of both, so a WithRotateEveryEdges receiver rotates as if it had
+// seen them all.
 func (w *Windowed) Merge(other *Windowed) error {
 	if other == nil {
 		return fmt.Errorf("streamcard: Windowed.Merge(nil): %w", ErrIncompatible)
@@ -544,37 +475,23 @@ func (w *Windowed) Merge(other *Windowed) error {
 	if other == w {
 		return fmt.Errorf("streamcard: Windowed.Merge with itself: %w", ErrIncompatible)
 	}
-	if w.Generations() != other.Generations() {
-		return fmt.Errorf("streamcard: windows with k=%d vs k=%d: %w",
-			w.Generations(), other.Generations(), ErrIncompatible)
+	// Fold into a clone and adopt the result: a failure on any generation
+	// (e.g. mismatched seeds) leaves the receiver untouched.
+	c := w.Clone()
+	if err := c.foldFrom(other); err != nil {
+		return err
 	}
-	mine, myEpoch, myEdges := w.ring.Snapshot()
-	theirs, otherEpoch, otherEdges := other.ring.Snapshot()
-	if myEpoch != otherEpoch {
-		return fmt.Errorf("streamcard: windows at epoch %d vs %d: %w", myEpoch, otherEpoch, ErrIncompatible)
-	}
-	// Merge into clones and adopt the result atomically: a failure on any
-	// generation (e.g. mismatched seeds) leaves the receiver untouched.
-	merged := make([]Estimator, len(mine))
-	for i := range mine {
-		g, err := mergeGeneration(mine[i], theirs[i])
-		if err != nil {
-			return fmt.Errorf("streamcard: window generation %d: %w", i, err)
-		}
-		merged[i] = g
-	}
-	return w.ring.Adopt(merged, myEpoch, myEdges+otherEdges)
+	gens, epoch, edges := c.ring.Snapshot()
+	return w.ring.Adopt(gens, epoch, edges+other.ring.EdgesInEpoch())
 }
 
-// foldFrom folds other's generations into w in place — the fast path
-// behind Sharded.TotalDistinctMerged, whose accumulator is a private clone
-// nobody else references: it needs none of Merge's failure atomicity (on
-// error the whole accumulator is discarded) and must not pay Merge's
-// clone-of-every-generation per fold, which on a k-generation window would
-// copy the accumulator k times per shard. Same compatibility rules as
-// Merge: equal generation counts, equal epochs, mergeable generations
-// built with identical parameters. other must be quiescent (a frozen shard
-// view); w must be private to the caller.
+// foldFrom folds other's generations into w in place — the one generation
+// fold, behind both Merge (into a clone of the receiver) and
+// Sharded.TotalDistinctMerged (into a private accumulator). Same
+// compatibility rules as Merge: equal generation counts, equal epochs,
+// same-typed generations built with identical parameters. other must be
+// quiescent (a frozen shard view); w must be private to the caller, since
+// an error can leave it partly folded.
 func (w *Windowed) foldFrom(other *Windowed) error {
 	if w.Generations() != other.Generations() {
 		return fmt.Errorf("streamcard: windows with k=%d vs k=%d: %w",
@@ -596,65 +513,27 @@ func (w *Windowed) foldFrom(other *Windowed) error {
 func foldGen(mine, theirs Estimator) error {
 	switch m := mine.(type) {
 	case *FreeBS:
-		o, ok := theirs.(*FreeBS)
-		if !ok {
-			return fmt.Errorf("generation types %s vs %s: %w", mine.Name(), theirs.Name(), ErrIncompatible)
+		if o, ok := theirs.(*FreeBS); ok {
+			return m.Merge(o)
 		}
-		return m.Merge(o)
 	case *FreeRS:
-		o, ok := theirs.(*FreeRS)
-		if !ok {
-			return fmt.Errorf("generation types %s vs %s: %w", mine.Name(), theirs.Name(), ErrIncompatible)
+		if o, ok := theirs.(*FreeRS); ok {
+			return m.Merge(o)
 		}
-		return m.Merge(o)
-	default:
-		return fmt.Errorf("%s generations are not mergeable: %w", mine.Name(), ErrIncompatible)
 	}
-}
-
-func mergeGeneration(mine, theirs Estimator) (Estimator, error) {
-	switch m := mine.(type) {
-	case *FreeBS:
-		return mergeGen(m, theirs)
-	case *FreeRS:
-		return mergeGen(m, theirs)
-	default:
-		return nil, fmt.Errorf("%s generations are not mergeable: %w", mine.Name(), ErrIncompatible)
-	}
-}
-
-// mergeGen clones m and folds the matching-typed theirs into the clone — the
-// same clone-then-fold shape as the sharded read path's mergeViewsTyped,
-// written once over the shared mergeable constraint.
-func mergeGen[T interface {
-	Estimator
-	mergeable[T]
-}](m T, theirs Estimator) (Estimator, error) {
-	o, ok := theirs.(T)
-	if !ok {
-		return nil, fmt.Errorf("generation types %s vs %s: %w", m.Name(), theirs.Name(), ErrIncompatible)
-	}
-	c := m.Clone()
-	if err := c.Merge(o); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return fmt.Errorf("generation types %s vs %s: %w", mine.Name(), theirs.Name(), ErrIncompatible)
 }
 
 // Clone returns an independent deep copy of w: same configuration, every
-// live generation cloned, epoch bookkeeping preserved. It requires a
-// cloneable underlying estimator (FreeBS or FreeRS) and panics otherwise.
+// live generation cloned, epoch bookkeeping preserved.
 func (w *Windowed) Clone() *Windowed {
 	gens, epoch, edges := w.ring.Snapshot()
 	clones := make([]Estimator, len(gens))
 	for i, g := range gens {
-		switch e := g.(type) {
-		case *FreeBS:
-			clones[i] = e.Clone()
-		case *FreeRS:
-			clones[i] = e.Clone()
-		default:
-			panic(fmt.Sprintf("streamcard: %s generations do not support Clone", g.Name()))
+		if bs, ok := g.(*FreeBS); ok {
+			clones[i] = bs.Clone()
+		} else {
+			clones[i] = g.(*FreeRS).Clone()
 		}
 	}
 	c, err := adoptWindowed(w.build, w.cfg, w.name, clones, epoch, edges)
@@ -665,17 +544,12 @@ func (w *Windowed) Clone() *Windowed {
 }
 
 // MarshalBinary serializes every live generation plus the epoch bookkeeping
-// through the versioned window envelope in internal/core. It requires the
-// underlying estimator to support checkpointing (FreeBS or FreeRS).
+// through the versioned window envelope in internal/core.
 func (w *Windowed) MarshalBinary() ([]byte, error) {
 	gens, epoch, edges := w.ring.Snapshot()
 	payloads := make([][]byte, len(gens))
 	for i, g := range gens {
-		m, ok := g.(encoding.BinaryMarshaler)
-		if !ok {
-			return nil, fmt.Errorf("streamcard: %s does not support checkpointing", g.Name())
-		}
-		p, err := m.MarshalBinary()
+		p, err := g.(encoding.BinaryMarshaler).MarshalBinary()
 		if err != nil {
 			return nil, err
 		}
@@ -703,11 +577,7 @@ func (w *Windowed) UnmarshalBinary(data []byte) error {
 	gens := make([]Estimator, len(payloads))
 	for i, p := range payloads {
 		g := w.build()
-		u, ok := g.(encoding.BinaryUnmarshaler)
-		if !ok {
-			return fmt.Errorf("streamcard: %s does not support checkpointing", g.Name())
-		}
-		if err := u.UnmarshalBinary(p); err != nil {
+		if err := g.(encoding.BinaryUnmarshaler).UnmarshalBinary(p); err != nil {
 			return fmt.Errorf("streamcard: window generation %d: %w", i, err)
 		}
 		gens[i] = g

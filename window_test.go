@@ -6,8 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
+	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/hashing"
 )
@@ -203,25 +203,6 @@ func TestWindowedRotateEveryEdges(t *testing.T) {
 	}
 }
 
-func TestWindowedRotateInterval(t *testing.T) {
-	now := time.Unix(0, 0)
-	w := NewWindowed(func() Estimator { return NewFreeRS(1 << 16) },
-		WithRotateEvery(time.Minute), WithWindowClock(func() time.Time { return now }))
-	w.Observe(1, 1)
-	if w.Tick() {
-		t.Fatal("rotated before the interval elapsed")
-	}
-	now = now.Add(time.Minute)
-	if !w.Tick() {
-		t.Fatal("timer tick past the interval must rotate")
-	}
-	now = now.Add(time.Minute)
-	w.Observe(1, 2) // observation path also notices the elapsed interval
-	if w.Epoch() != 2 {
-		t.Fatalf("epoch = %d", w.Epoch())
-	}
-}
-
 func TestWindowedUsersTopKSpreaders(t *testing.T) {
 	w := NewWindowed(func() Estimator { return NewFreeRS(1 << 20) }, WithGenerations(3))
 	for i := 0; i < 5000; i++ {
@@ -367,7 +348,7 @@ func TestWindowedMergeClone(t *testing.T) {
 		t.Fatal("clone lost epoch bookkeeping")
 	}
 
-	// Incompatibilities: epoch mismatch, k mismatch, non-mergeable underlying.
+	// Incompatibilities: epoch mismatch, k mismatch, mismatched sketch types.
 	c := mk()
 	if err := a.Merge(c); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("epoch mismatch: %v", err)
@@ -376,10 +357,11 @@ func TestWindowedMergeClone(t *testing.T) {
 	if err := a.Merge(d); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("k mismatch: %v", err)
 	}
-	e1 := NewWindowed(func() Estimator { return NewCSE(1<<12, 64) })
-	e2 := NewWindowed(func() Estimator { return NewCSE(1<<12, 64) })
-	if err := e1.Merge(e2); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("non-mergeable underlying: %v", err)
+	bs := NewWindowed(func() Estimator { return NewFreeBS(1<<18, WithSeed(21)) }, WithGenerations(3))
+	bs.Rotate()
+	bs.Rotate()
+	if err := a.Merge(bs); !errors.Is(err, ErrIncompatible) {
+		t.Fatalf("FreeBS window into FreeRS window: %v", err)
 	}
 	// Mismatched seeds surface the inner sketch's incompatibility, and the
 	// receiver is untouched (merge-into-clones is atomic).
@@ -392,6 +374,35 @@ func TestWindowedMergeClone(t *testing.T) {
 	}
 	if a.TotalDistinct() != beforeTotal {
 		t.Fatal("failed merge mutated the receiver")
+	}
+
+	// The merged current epoch has absorbed both windows' edges: p and q
+	// each stay short of n, together one short of it, so one more edge
+	// rotates the merged window.
+	const n = 100
+	p := NewWindowed(build, WithGenerations(3), WithRotateEveryEdges(n))
+	q := NewWindowed(build, WithGenerations(3), WithRotateEveryEdges(n))
+	p.Rotate()
+	q.Rotate()
+	for i := uint64(0); i < 40; i++ {
+		p.Observe(i, i)
+	}
+	for i := uint64(0); i < n-41; i++ {
+		q.Observe(i, 1000+i)
+	}
+	if err := p.Merge(q); err != nil {
+		t.Fatal(err)
+	}
+	blob, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, epoch, edges, _, err := core.UnmarshalWindow(blob); err != nil || epoch != 1 || edges != n-1 {
+		t.Fatalf("merged checkpoint epoch=%d edges=%d err=%v, want epoch 1 with %d edges", epoch, edges, err, n-1)
+	}
+	p.Observe(7, 7)
+	if p.Epoch() != 2 {
+		t.Fatalf("epoch = %d after the merged epoch reached %d edges, want 2", p.Epoch(), n)
 	}
 }
 
@@ -424,15 +435,34 @@ func TestWindowedPanics(t *testing.T) {
 		return NewFreeBS(64)
 	})
 	mustPanic(t, w.Rotate)
-	// Users on a non-anytime underlying estimator is a usage error.
-	cse := NewWindowed(func() Estimator { return NewCSE(1<<12, 64) })
-	mustPanic(t, func() { cse.Users(func(uint64, float64) {}) })
+
+	// Generations must be FreeBS or FreeRS: other sketches are refused at
+	// construction, and at the rotation that would first build one.
+	for name, build := range map[string]func() Estimator{
+		"CSE":          func() Estimator { return NewCSE(1<<12, 64) },
+		"vHLL":         func() Estimator { return NewVHLL(1<<12, 64) },
+		"PerUserLPC":   func() Estimator { return NewPerUserLPC(64) },
+		"PerUserHLLPP": func() Estimator { return NewPerUserHLLPP(64) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			mustPanic(t, func() { NewWindowed(build) })
+		})
+	}
+	builds := 0
+	late := NewWindowed(func() Estimator {
+		builds++
+		if builds > 1 {
+			return NewCSE(1<<12, 64)
+		}
+		return NewFreeRS(1 << 12)
+	})
+	mustPanic(t, late.Rotate)
 }
 
-// TestWindowedRotateObserveRace is the -race regression test for the
-// tentpole's guard: before the refactor nothing stopped a timer goroutine
-// from calling Rotate mid-ObserveBatch. Batches, single observes, rotations,
-// ticks, and every query path hammer one instance concurrently.
+// TestWindowedRotateObserveRace is the -race regression test for the ring
+// lock: nothing may let a timer goroutine's Rotate land mid-ObserveBatch.
+// Batches, single observes, rotations, and every query path hammer one
+// instance concurrently.
 func TestWindowedRotateObserveRace(t *testing.T) {
 	w := NewWindowed(func() Estimator { return NewFreeRS(1<<14, WithSeed(3)) },
 		WithGenerations(3), WithRotateEveryEdges(2000))
@@ -470,7 +500,6 @@ func TestWindowedRotateObserveRace(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 200; i++ {
 			w.Rotate()
-			w.Tick()
 		}
 	}()
 	wg.Wait()
