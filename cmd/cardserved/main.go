@@ -57,6 +57,30 @@ func main() {
 	}
 }
 
+// Connection deadlines of the HTTP server. A client that opens a connection
+// and trickles its request header, or parks an idle keep-alive connection,
+// would otherwise hold a goroutine and a socket for as long as it likes.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the HTTP server cardserved runs h on. The write
+// deadline is connection hygiene too: /users streams from a published
+// snapshot and holds no sketch lock, but a client that stops reading would
+// still pin the handler goroutine and the snapshot's copy-on-write arrays
+// until its connection dies. The streaming handler arms its own deadline
+// from Config.StreamWriteTimeout (plumbed from the same flag); the
+// server-level WriteTimeout backstops every other endpoint.
+func newHTTPServer(h http.Handler, writeTimeout time.Duration) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // run starts the daemon and blocks until a signal arrives (or the listener
 // fails); factored from main so tests can drive the full lifecycle.
 func run(args []string, out io.Writer, sig <-chan os.Signal) error {
@@ -119,14 +143,7 @@ func run(args []string, out io.Writer, sig <-chan os.Signal) error {
 		s.Close()
 		return err
 	}
-	// The write deadline is connection hygiene: /users streams from a
-	// published snapshot and holds no sketch lock, but a client that stops
-	// reading would still pin the handler goroutine and the snapshot's
-	// copy-on-write arrays until its connection dies. The streaming handler
-	// arms its own deadline from Config.StreamWriteTimeout (plumbed from
-	// the same flag above); the server-level WriteTimeout backstops every
-	// other endpoint.
-	httpSrv := &http.Server{Handler: s.Handler(), WriteTimeout: *writeTO}
+	httpSrv := newHTTPServer(s.Handler(), *writeTO)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	if *tcpAddr != "" {

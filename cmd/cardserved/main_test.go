@@ -155,3 +155,19 @@ func TestDaemonListenFailure(t *testing.T) {
 		t.Fatal("unlistenable address accepted")
 	}
 }
+
+// TestHTTPServerTimeouts pins the connection deadlines of the HTTP server
+// cardserved runs: a slow request header and an idle keep-alive connection
+// are both cut off, and the -write-timeout flag reaches WriteTimeout.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler(), 3*time.Second)
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Errorf("ReadHeaderTimeout %v, want %v", srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 || srv.IdleTimeout != idleTimeout {
+		t.Errorf("IdleTimeout %v, want %v", srv.IdleTimeout, idleTimeout)
+	}
+	if srv.WriteTimeout != 3*time.Second {
+		t.Errorf("WriteTimeout %v, want the flag's 3s", srv.WriteTimeout)
+	}
+}

@@ -40,12 +40,6 @@ func TestQueryBenchEmitsJSON(t *testing.T) {
 	if !ok || est.Count <= 0 || est.P99Us < est.P50Us {
 		t.Fatalf("broken latency summary: %+v", res.QueryLatency)
 	}
-	// The hard assertion of the read-path architecture: snapshot
-	// publication allocates O(1) bytes, independent of sketch size.
-	if !res.SnapshotPublishO1OK {
-		t.Fatalf("snapshot publication not O(1): %v B at M, %v B at 4M",
-			res.SnapshotPublishBytes, res.SnapshotPublishBytes4x)
-	}
 	// The transport phase drove both legs against real listeners: positive
 	// throughput on each means every frame was acked end to end over both
 	// HTTP and CWT1. The ratio itself is host-dependent and gated in CI,

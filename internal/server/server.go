@@ -40,7 +40,8 @@
 // (streamcard.Sharded.Snapshot) instead of taking the sketch locks — a
 // stalled /users reader or a slow checkpoint fsync cannot hold any sketch
 // lock at all, and ingest throughput is unaffected by concurrent query
-// load (cmd/querybench measures exactly this). The write path — shard
+// load (perfbench's query_mixed workload measures the query tail under
+// ingest against the real daemon). The write path — shard
 // executors and epoch rotation — is the only lock domain left: rotation
 // is a quiesce cut over the whole pipeline (the ingest gate excludes new
 // submissions, then the cut waits for every submitted batch to be fully

@@ -294,8 +294,8 @@ func TestServerWALFingerprintMismatch(t *testing.T) {
 // allocation count. The WAL branch is a nil check — taking it can
 // allocate nothing — so a regression here means the hot path itself
 // changed, not the WAL. (With the WAL ON the same path additionally pays
-// the log append; that cost is measured and gated by cmd/querybench's
-// WAL-overhead phase, not here.)
+// the log append; perfbench's durable_restart workload measures that cost
+// against the real daemon, not here.)
 func TestServerWALOffHotPathAllocs(t *testing.T) {
 	s, err := New(testConfig(""))
 	if err != nil {

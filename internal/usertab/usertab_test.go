@@ -2,6 +2,7 @@ package usertab
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -205,6 +206,49 @@ func TestTableHighLoadFactor(t *testing.T) {
 	if got := org.MemoryBytes(); got != int64(org.Cap())*16 {
 		t.Fatalf("MemoryBytes %d, want %d", got, int64(org.Cap())*16)
 	}
+
+	// The memory bound. Grown organically, a table never spends more than
+	// 2·16·32/31 bytes per entry (just past a doubling at 31/32 load) once
+	// it holds at least minCapacity entries, and at 126,000 entries it fits
+	// in 131,072 slots at no more than 17 bytes per entry. The heap check
+	// measures what the table really holds live, so a per-slot array that
+	// MemoryBytes does not count still shows.
+	const (
+		fitEntries       = 126_000
+		fitSlots         = 131_072
+		maxFitBytes      = 17.0
+		maxBytesPerEntry = 2 * 16 * 32 / 31.0
+	)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	grown := New()
+	for i := 1; i <= fitEntries; i++ {
+		grown.Add(uint64(i), 1)
+		if i < minCapacity {
+			continue
+		}
+		if per := float64(grown.MemoryBytes()) / float64(i); per > maxBytesPerEntry {
+			t.Fatalf("%d entries in %d slots: %.2f B/entry > %.2f", i, grown.Cap(), per, maxBytesPerEntry)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	live := float64(int64(after.HeapAlloc) - int64(before.HeapAlloc))
+	runtime.KeepAlive(grown)
+	if grown.Cap() != fitSlots {
+		t.Fatalf("%d entries in %d slots, want %d", fitEntries, grown.Cap(), fitSlots)
+	}
+	for _, b := range []struct {
+		name  string
+		bytes float64
+	}{{"MemoryBytes", float64(grown.MemoryBytes())}, {"live heap", live}} {
+		if per := b.bytes / fitEntries; per > maxFitBytes {
+			t.Fatalf("%d entries: %s %.0f B = %.2f B/entry > %.0f", fitEntries, b.name, b.bytes, per, maxFitBytes)
+		}
+	}
+	t.Logf("%d entries in %d slots: %.2f B/entry by MemoryBytes, %.2f live",
+		fitEntries, grown.Cap(), float64(grown.MemoryBytes())/fitEntries, live/fitEntries)
 }
 
 // TestTableSpecialValues: NaN, ±Inf, and zero values are stored verbatim —

@@ -296,3 +296,84 @@ func TestShardedSnapshotDistinctSeeds(t *testing.T) {
 		t.Fatal("view lost the observation")
 	}
 }
+
+// TestShardedSnapshotPublicationO1 pins the read path's cost model on the
+// serving shape, Sharded(Windowed(FreeRS)) with 4 shards and 4
+// generations: taking a view allocates a small, size-independent number of
+// bytes, never a copy of an array. Two costs are measured, each at M and 4M
+// total bits on a stack loaded with 200k edges:
+//
+//   - cold: the first Snapshot, which takes every shard's snapshot itself
+//     (the stack was written before any reader armed publication);
+//   - warm: a Snapshot after each one-edge write, the serving steady state,
+//     where the write already published its shard's fresh snapshot and
+//     paid the lazy copy-on-write detach.
+//
+// Each must stay below 64 KiB and below a quarter of one shard generation's
+// array, and the 4M figure below twice the M figure plus 4096 bytes.
+func TestShardedSnapshotPublicationO1(t *testing.T) {
+	const (
+		shards = 4
+		gens   = 4
+		mbits  = 1 << 22
+		rounds = 64
+	)
+	measure := func(bits int) (cold, warm float64) {
+		s := NewSharded(shards, func(int) Estimator {
+			return NewWindowed(func() Estimator {
+				return NewFreeRS(bits/shards, WithSeed(1))
+			}, WithGenerations(gens))
+		})
+		rng := hashing.NewRNG(3)
+		batch := make([]Edge, 0, 8192)
+		for n := 0; n < 200_000; {
+			u := uint64(rng.Intn(100_000) + 1)
+			for r := rng.Intn(8) + 1; r > 0 && n < 200_000; r-- {
+				batch = append(batch, Edge{User: u, Item: rng.Uint64()})
+				n++
+				if len(batch) == cap(batch) {
+					s.ObserveBatch(batch)
+					batch = batch[:0]
+				}
+			}
+		}
+		s.ObserveBatch(batch)
+		cold = snapshotAllocBytes(s)
+		for i := 0; i < rounds; i++ {
+			s.Observe(uint64(i%1000+1), uint64(i)|1<<40)
+			warm += snapshotAllocBytes(s)
+		}
+		return cold, warm / rounds
+	}
+	arrayBytes := float64(mbits / shards / 8)
+	cold, warm := measure(mbits)
+	cold4, warm4 := measure(4 * mbits)
+	t.Logf("Snapshot allocates %.0f B cold, %.0f B warm at M=%d; %.0f B cold, %.0f B warm at 4M",
+		cold, warm, mbits, cold4, warm4)
+	for _, c := range []struct {
+		name         string
+		small, large float64
+	}{{"cold", cold, cold4}, {"warm", warm, warm4}} {
+		if c.small >= 64<<10 || c.small >= arrayBytes/4 {
+			t.Errorf("%s Snapshot allocates %.0f B at M=%d; want < 64 KiB and < %.0f (a quarter of one shard generation's array)",
+				c.name, c.small, mbits, arrayBytes/4)
+		}
+		if c.large >= 2*c.small+4096 {
+			t.Errorf("%s Snapshot allocates %.0f B at 4M against %.0f B at M: publication cost grows with the sketch",
+				c.name, c.large, c.small)
+		}
+	}
+}
+
+// publishSink keeps measured views reachable, so no Snapshot result can be
+// optimized away.
+var publishSink *ShardedView
+
+// snapshotAllocBytes returns the bytes one s.Snapshot call allocates.
+func snapshotAllocBytes(s *Sharded) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	publishSink = s.Snapshot()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc - before.TotalAlloc)
+}

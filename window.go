@@ -123,11 +123,10 @@ func WithOnRetire(fn func(retired Estimator)) WindowedOption {
 	return func(c *windowedConfig) { c.onRetire = fn }
 }
 
-// WithFoldStats scopes the window's fold-cache counters to st, so a serving
-// stack can export its own compute/hit counts (the server wires one per
+// WithFoldStats counts the window's fold-cache outcomes into st, so a
+// serving stack can export its compute/hit counts (the server wires one per
 // process into /metrics). Snapshots and clones inherit the same collector.
-// Windows built without this option report into a package-level default,
-// readable via DefaultFoldStats.
+// Windows built without this option count nothing.
 func WithFoldStats(st *FoldStats) WindowedOption {
 	return func(c *windowedConfig) { c.foldStats = st }
 }
@@ -389,15 +388,6 @@ func (w *Windowed) UserEntries() int {
 	return total
 }
 
-// foldStatsOut returns the collector this window's fold-cache outcomes are
-// counted into: the injected one (WithFoldStats) or the package default.
-func (w *Windowed) foldStatsOut() *FoldStats {
-	if w.cfg.foldStats != nil {
-		return w.cfg.foldStats
-	}
-	return &defaultFoldStats
-}
-
 // userSums returns the window's merged per-user estimate table. On a frozen
 // view (the only place analytics reads land once snapshots are published —
 // Users/RangeUsers/NumUsers route through Snapshot) the fold is computed at
@@ -414,8 +404,8 @@ func (w *Windowed) userSums() *usertab.Table {
 		w.runFold()
 		hit = false
 	})
-	if hit {
-		w.foldStatsOut().hits.Add(1)
+	if st := w.cfg.foldStats; hit && st != nil {
+		st.hits.Add(1)
 	}
 	return w.fold
 }
@@ -434,7 +424,9 @@ func (w *Windowed) warmFold() {
 // runFold executes the fold under foldOnce.
 func (w *Windowed) runFold() {
 	w.fold = w.computeUserSums()
-	w.foldStatsOut().computes.Add(1)
+	if st := w.cfg.foldStats; st != nil {
+		st.computes.Add(1)
+	}
 }
 
 // computeUserSums folds the live generations' per-user estimates into one
