@@ -151,38 +151,86 @@ func assertMatchesTwin(t *testing.T, name string, got interface {
 	}
 }
 
-// TestMapTwinMatchesCore checks the FreeBS and FreeRS batch kernels, after
-// ObserveBatch, against the map twins at two shapes: a small array driven
-// deep into saturation, where most pairs credit nothing, and a million-bit
-// array holding 100k users.
-func TestMapTwinMatchesCore(t *testing.T) {
-	shapes := []struct {
-		edges, users, mbits, chunk int
-		seed                       uint64
-	}{
-		{edges: 30_000, users: 2_000, mbits: 1 << 16, chunk: 512, seed: 9},
-		{edges: 600_000, users: 100_000, mbits: 1 << 20, chunk: 1024, seed: 1},
+// TestCoverageWorkload pins the workload generator's contract: exactly the
+// requested edge count over exactly the requested distinct users, every
+// user in 1..users, deterministic in the seed.
+func TestCoverageWorkload(t *testing.T) {
+	edges := coverageBurstEdges(50_000, 10_000, 3)
+	if len(edges) != 50_000 {
+		t.Fatalf("%d edges, want 50000", len(edges))
 	}
-	for _, sh := range shapes {
-		edges := coverageBurstEdges(sh.edges, sh.users, sh.seed)
-		seen := make(map[uint64]bool, sh.users)
-		for _, e := range edges {
-			seen[e.User] = true
+	users := make(map[uint64]bool)
+	for _, e := range edges {
+		users[e.User] = true
+		if e.User == 0 || e.User > 10_000 {
+			t.Fatalf("user %d out of range", e.User)
 		}
-		if len(edges) != sh.edges || len(seen) != sh.users {
-			t.Fatalf("workload: %d edges over %d users, want %d over %d",
-				len(edges), len(seen), sh.edges, sh.users)
+	}
+	if len(users) != 10_000 {
+		t.Fatalf("%d distinct users, want 10000", len(users))
+	}
+	again := coverageBurstEdges(50_000, 10_000, 3)
+	for i := range edges {
+		if edges[i] != again[i] {
+			t.Fatal("workload not deterministic")
 		}
-		shape := fmt.Sprintf("%d edges/%d users/M=%d", sh.edges, sh.users, sh.mbits)
+	}
+	// The tight-budget extreme: edges == users still covers every user
+	// (bursts are capped so nobody is starved of their first edge).
+	tight := coverageBurstEdges(5_000, 5_000, 11)
+	seen := make(map[uint64]bool)
+	for _, e := range tight {
+		seen[e.User] = true
+	}
+	if len(tight) != 5_000 || len(seen) != 5_000 {
+		t.Fatalf("tight budget: %d edges, %d distinct users, want 5000/5000", len(tight), len(seen))
+	}
+}
 
-		bs, twinBS := NewFreeBS(sh.mbits, 7), newMapBS(sh.mbits, 7)
-		feedBatches(bs.ObserveBatch, edges, sh.chunk)
-		twinBS.observeBatch(edges)
-		assertMatchesTwin(t, "FreeBS "+shape, bs, &twinBS.mapEstimates)
+// checkMapTwins feeds one workload shape to FreeBS and FreeRS through
+// ObserveBatch in chunks of chunk edges and to their map twins, requires
+// each kernel to end bit-identical to its twin, and returns both sketches.
+func checkMapTwins(t *testing.T, edges, users, mbits, chunk int, seed uint64) (*FreeBS, *FreeRS) {
+	t.Helper()
+	work := coverageBurstEdges(edges, users, seed)
+	seen := make(map[uint64]bool, users)
+	for _, e := range work {
+		seen[e.User] = true
+	}
+	if len(work) != edges || len(seen) != users {
+		t.Fatalf("workload: %d edges over %d users, want %d over %d",
+			len(work), len(seen), edges, users)
+	}
+	shape := fmt.Sprintf("%d edges/%d users/M=%d", edges, users, mbits)
 
-		rs, twinRS := NewFreeRS(sh.mbits/DefaultRegisterWidth, 7), newMapRS(sh.mbits, 7)
-		feedBatches(rs.ObserveBatch, edges, sh.chunk)
-		twinRS.observeBatch(edges)
-		assertMatchesTwin(t, "FreeRS "+shape, rs, &twinRS.mapEstimates)
+	bs, twinBS := NewFreeBS(mbits, 7), newMapBS(mbits, 7)
+	feedBatches(bs.ObserveBatch, work, chunk)
+	twinBS.observeBatch(work)
+	assertMatchesTwin(t, "FreeBS "+shape, bs, &twinBS.mapEstimates)
+
+	rs, twinRS := NewFreeRS(mbits/DefaultRegisterWidth, 7), newMapRS(mbits, 7)
+	feedBatches(rs.ObserveBatch, work, chunk)
+	twinRS.observeBatch(work)
+	assertMatchesTwin(t, "FreeRS "+shape, rs, &twinRS.mapEstimates)
+	return bs, rs
+}
+
+// TestMapTwinMatchesCore checks the FreeBS and FreeRS batch kernels against
+// the map twins on a small array driven deep into saturation, where most
+// pairs credit nothing.
+func TestMapTwinMatchesCore(t *testing.T) {
+	checkMapTwins(t, 30_000, 2_000, 1<<16, 512, 9)
+}
+
+// TestMapTwinMatchesCoreAtScale checks the kernels against the map twins on
+// a million-bit array holding 100k users. Not every user earns a credit (a
+// user whose few pairs all land on already-set bits, or raise no register,
+// keeps estimate 0), but the bulk must.
+func TestMapTwinMatchesCoreAtScale(t *testing.T) {
+	bs, rs := checkMapTwins(t, 600_000, 100_000, 1<<20, 1024, 1)
+	for name, n := range map[string]int{"FreeBS": bs.NumUsers(), "FreeRS": rs.NumUsers()} {
+		if n < 85_000 || n > 100_000 {
+			t.Fatalf("%s: %d users credited of 100000", name, n)
+		}
 	}
 }
